@@ -13,8 +13,13 @@
  * median-of-3) and aggregate guest progress per point; the CI perf
  * gate and EXPERIMENTS.md track these numbers across PRs.
  *
+ * Every point must commit transactions: a window too short for any
+ * to retire measures nothing the label claims, so the bench then
+ * exits 1 (after printing its line). The default window, 60k warmup
+ * + 90k measured cycles, is the shortest that commits at 256 cores.
+ *
  * Knobs: CONSIM_SCALE_CYCLES (measurement window per point, default
- * 40000; warmup is half that).
+ * 90000; warmup is two thirds of it).
  *
  * Output (one line on stdout):
  *   {"schema":"consim.bench.v1","bench":"fig16_scale256",
@@ -47,7 +52,7 @@ scaleCycles()
     // Strict: a malformed CONSIM_SCALE_CYCLES is fatal, not silently
     // the default window (which would fake a perf regression/gain).
     const std::uint64_t v = envU64("CONSIM_SCALE_CYCLES", 0);
-    return v ? v : 40'000;
+    return v ? v : 90'000;
 }
 
 struct ScalePoint
@@ -71,6 +76,7 @@ main()
     std::printf(",\"timing_reps\":%d,\"points\":[", timingReps);
 
     const std::vector<ScalePoint> points = {{16, 8}, {16, 16}};
+    bool idle_point = false;
     for (std::size_t pi = 0; pi < points.size(); ++pi) {
         const int cores = points[pi].meshX * points[pi].meshY;
         // 1.5x over-commit, split evenly over the mix's four VMs.
@@ -82,7 +88,7 @@ main()
         cfg.machine.meshY = points[pi].meshY;
         cfg.vmThreads = {per_vm, per_vm, per_vm, per_vm};
         cfg.seed = 13;
-        cfg.warmupCycles = cycles / 2;
+        cfg.warmupCycles = cycles * 2 / 3;
         cfg.measureCycles = cycles;
         cfg.runJobs = 1;
 
@@ -98,6 +104,7 @@ main()
             instr += vm.instructions;
             txns += vm.transactions;
         }
+        idle_point = idle_point || txns == 0;
         std::printf(
             "%s{\"cores\":%d,\"mesh\":\"%dx%d\",\"vm_threads\":%d,"
             "\"sim_cycles\":%llu,\"sim_wall_s\":%.3f,"
@@ -108,5 +115,10 @@ main()
             wall, cps, instr, txns);
     }
     std::printf("]}\n");
+    if (idle_point) {
+        std::fprintf(stderr, "fig16_scale256: a point committed no "
+                             "transactions; widen CONSIM_SCALE_CYCLES\n");
+        return 1;
+    }
     return 0;
 }

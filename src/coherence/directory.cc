@@ -29,15 +29,20 @@ dirCacheGeometry(const MachineConfig &cfg)
 } // namespace
 
 DirectorySlice::DirectorySlice(Fabric &fabric, CoreId tile,
-                               DirectoryStorage &store)
-    : fab_(fabric), tile_(tile), store_(store),
+                               const VmWindows &windows)
+    : fab_(fabric), tile_(tile), windows_(windows),
       dirCache_(dirCacheGeometry(fabric.config()))
 {
-    // Pre-size from the machine so the transaction table and wait
-    // pool never grow mid-run (the zero-allocation steady-state
-    // contract); a home slice can have every core's request queued.
-    const auto n = std::max<std::size_t>(
-        128, static_cast<std::size_t>(fabric.config().numCores()));
+    // Pre-size from the machine so no table or wait pool grows
+    // mid-run (the zero-allocation steady-state contract). Only
+    // blocks held in some L2 partition have entries, and homes are
+    // hashed, so twice this tile's share of the L2 lines leaves room
+    // for an uneven spread and for blocks in flight.
+    const MachineConfig &cfg = fabric.config();
+    const auto cores = static_cast<std::size_t>(cfg.numCores());
+    entries_.reserve(2 * (cfg.l2TotalBytes / blockBytes) / cores + 64);
+    // A home slice can have every core's request queued.
+    const auto n = std::max<std::size_t>(128, cores);
     active_.reserve(n);
     waiting_.reserve(n, 2 * n);
     stats_.registerIn(statsGroup_);
@@ -108,7 +113,7 @@ DirectorySlice::dirCacheAccess(BlockAddr block)
         return true;
     }
     auto *victim = dirCache_.victim(block);
-    // Victim state lives in the backing store; eviction is silent.
+    // Victim state lives in entries_; eviction is silent.
     dirCache_.install(victim, block);
     return false;
 }
@@ -119,7 +124,11 @@ DirectorySlice::process(BlockAddr block)
     Txn *tp = active_.find(block);
     CONSIM_ASSERT(tp, "process() for inactive block");
     Txn &t = *tp;
-    DirEntry &e = store_.entry(block);
+    CONSIM_ASSERT(windows_.contains(block),
+                  "directory access outside registered windows: "
+                  "block ", block);
+    // Find or insert: a block without an entry is Invalid.
+    DirEntry &e = entries_[block];
 
     switch (t.req.type) {
       case MsgType::GetS:
@@ -135,6 +144,10 @@ DirectorySlice::process(BlockAddr block)
       default:
         CONSIM_PANIC("bad txn type ", toString(t.req.type));
     }
+    // Only a Put returns a block to Invalid (or finds it stale and
+    // already Invalid); the entry leaves the slice with it.
+    if (e.state == L2State::Invalid)
+        entries_.erase(block);
 }
 
 void
@@ -260,14 +273,10 @@ DirectorySlice::processPut(Txn &t, DirEntry &e)
         (e.state == L2State::Exclusive || e.state == L2State::Modified) &&
         static_cast<GroupId>(e.owner) == g;
 
-    // Clearing in place (rather than e = DirEntry{}) keeps the
-    // sharer set's spilled storage for the block's next use.
     if (is_owner) {
         if (is_put_m && t.req.dirtyData)
             sendMemWrite(t.req);
-        e.state = L2State::Invalid;
-        e.owner = -1;
-        e.sharers.reset();
+        e.reset();
     } else if (e.state == L2State::Shared && e.sharers.test(g)) {
         // A demoted owner's PutM degenerates to PutS; any dirty data
         // was already written back when the line was forwarded.

@@ -1,12 +1,15 @@
 /**
  * @file
  * Global directory: SGI-Origin-style full-map directory tracking the
- * partition-level MESI state of every block, striped across the
- * tiles by block address (paper §IV-A). Each tile's DirectorySlice
- * serializes transactions per block (a blocking home) and owns a
- * directory cache; a directory-cache miss pays the off-chip latency
- * for the directory-state fetch, modelling the paper's per-core
- * directory caches that "reduce the number of off-chip references".
+ * partition-level MESI state of every on-chip block, striped across
+ * the tiles by block address (paper §IV-A). Each tile's
+ * DirectorySlice serializes transactions per block (a blocking home)
+ * and owns a directory cache; a directory-cache miss pays the
+ * off-chip latency for the directory-state fetch, modelling the
+ * paper's per-core directory caches that "reduce the number of
+ * off-chip references". The directory is sparse: a slice holds
+ * entries only for blocks that are not Invalid, so its size follows
+ * the L2 capacity, not the VMs' footprints.
  */
 
 #ifndef CONSIM_COHERENCE_DIRECTORY_HH
@@ -60,15 +63,25 @@ struct DirEntry
     L2State state = L2State::Invalid;
     std::int16_t owner = -1; ///< GroupId for E/M
     GroupSet sharers;        ///< set of sharing GroupIds
+
+    /** Return to Invalid in place; spilled sharer words are kept for
+     *  the slot's next entry (BlockMap clears vacated slots with
+     *  this). */
+    void
+    reset()
+    {
+        state = L2State::Invalid;
+        owner = -1;
+        sharers.reset();
+    }
 };
 
 /**
- * Backing store for directory entries: one flat array per registered
- * VM, indexed by block offset within the VM's address window. The
- * storage is logically distributed across the tiles (each slice only
- * touches entries it is home for); a single allocation keeps it fast.
+ * The VMs' block-address windows: the run's window width and each
+ * VM's footprint. No per-block state lives here; a directory access
+ * outside every window is a stray address and asserts.
  */
-class DirectoryStorage
+class VmWindows
 {
   public:
     /** Adopt the run's window width (see requiredVmSpanBits); must
@@ -78,7 +91,7 @@ class DirectoryStorage
     {
         CONSIM_ASSERT(bits >= vmSpanBits, "window narrower than "
                       "default");
-        CONSIM_ASSERT(perVm_.empty(),
+        CONSIM_ASSERT(blocks_.empty(),
                       "span change after VM registration");
         spanBits_ = bits;
     }
@@ -92,39 +105,22 @@ class DirectoryStorage
         CONSIM_ASSERT(vm >= 0, "bad vm");
         CONSIM_ASSERT(num_blocks <= (1ull << spanBits_),
                       "VM footprint exceeds its address window");
-        if (static_cast<std::size_t>(vm) >= perVm_.size())
-            perVm_.resize(vm + 1);
-        perVm_[vm].assign(num_blocks, DirEntry{});
+        if (static_cast<std::size_t>(vm) >= blocks_.size())
+            blocks_.resize(vm + 1, 0);
+        blocks_[vm] = num_blocks;
     }
 
-    /** @return mutable entry for a block. */
-    DirEntry &
-    entry(BlockAddr block)
+    /** @return true when @p block lies inside a registered window. */
+    bool
+    contains(BlockAddr block) const
     {
         const auto vm = static_cast<std::size_t>(block >> spanBits_);
         const auto off = block & ((1ull << spanBits_) - 1);
-        CONSIM_ASSERT(vm < perVm_.size() && off < perVm_[vm].size(),
-                      "directory access outside registered windows: "
-                      "block ", block);
-        return perVm_[vm][off];
-    }
-
-    /** Walk all registered entries (invariant checks, stats). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (std::size_t vm = 0; vm < perVm_.size(); ++vm) {
-            for (std::size_t off = 0; off < perVm_[vm].size(); ++off) {
-                const BlockAddr block =
-                    (static_cast<BlockAddr>(vm) << spanBits_) | off;
-                fn(block, perVm_[vm][off]);
-            }
-        }
+        return vm < blocks_.size() && off < blocks_[vm];
     }
 
   private:
-    std::vector<std::vector<DirEntry>> perVm_;
+    std::vector<std::uint64_t> blocks_; ///< footprint per VM
     int spanBits_ = vmSpanBits;
 };
 
@@ -159,7 +155,8 @@ struct DirSliceStats
 class DirectorySlice
 {
   public:
-    DirectorySlice(Fabric &fabric, CoreId tile, DirectoryStorage &store);
+    DirectorySlice(Fabric &fabric, CoreId tile,
+                   const VmWindows &windows);
 
     /** Handle any directory-bound message. */
     void handle(const Msg &msg);
@@ -191,6 +188,28 @@ class DirectorySlice
 
     /** Active/waiting transaction snapshot for `consim.diag.v1`. */
     json::Value diagJson() const;
+
+    /** @return @p block's entry, or nullptr when it is Invalid. */
+    const DirEntry *
+    entry(BlockAddr block) const
+    {
+        return entries_.find(block);
+    }
+
+    /** @return number of blocks this home tracks (none Invalid). */
+    std::size_t numEntries() const { return entries_.size(); }
+
+    /** @return entry slots reserved (sized from L2 capacity). */
+    std::size_t entryCapacity() const { return entries_.capacity(); }
+
+    /** Call @p fn(BlockAddr, const DirEntry &) for every tracked
+     *  block, unordered. */
+    template <typename Fn>
+    void
+    forEachEntry(Fn &&fn) const
+    {
+        entries_.forEach(fn);
+    }
 
   private:
     /** System dispatches typed events (DirProcess) and the
@@ -238,7 +257,11 @@ class DirectorySlice
 
     Fabric &fab_;
     CoreId tile_;
-    DirectoryStorage &store_;
+    const VmWindows &windows_;
+    /** Sparse directory state of the blocks this tile is home for:
+     *  only non-Invalid entries are held, a missing one is Invalid.
+     *  One map per slice keeps tile-parallel lanes race-free. */
+    BlockMap<DirEntry> entries_;
     CacheArray<DirCacheLine> dirCache_;
     BlockMap<Txn> active_{128};
     WaitQueueMap<Msg> waiting_{128};

@@ -19,6 +19,12 @@
  *
  * Iteration order is unspecified, exactly like unordered_map; every
  * observable consumer (checkpoints, diag dumps) sorts keys first.
+ *
+ * Slots are indexed by the high bits of mixBits(key). The home tile
+ * of a block is mixBits(block) modulo the core count, so every key a
+ * directory slice or bank holds shares the low bits of that hash; a
+ * table indexed by them would pile all of a slice's keys into a few
+ * probe runs.
  */
 
 #ifndef CONSIM_COMMON_BLOCK_MAP_HH
@@ -56,6 +62,9 @@ class BlockMap
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+
+    /** @return slots allocated (entries fit up to 3/4 of this). */
+    std::size_t capacity() const { return keys_.size(); }
 
     /** Pre-size so @p n entries fit without growing. */
     void
@@ -114,7 +123,7 @@ class BlockMap
             i = probe(k);
         }
         keys_[i] = k;
-        vals_[i] = V();
+        resetSlot(vals_[i]);
         ++size_;
         return vals_[i];
     }
@@ -139,7 +148,7 @@ class BlockMap
             if (keys_[i] != kEmpty) {
                 keys_[i] = kEmpty;
                 if constexpr (!std::is_trivially_destructible_v<V>)
-                    vals_[i] = V();
+                    resetSlot(vals_[i]);
             }
         }
         size_ = 0;
@@ -173,7 +182,22 @@ class BlockMap
         return isPow2(x) ? x : std::size_t(1) << (floorLog2(x) + 1);
     }
 
-    std::size_t homeOf(BlockAddr k) const { return mixBits(k) & mask_; }
+    std::size_t homeOf(BlockAddr k) const { return mixBits(k) >> shift_; }
+
+    /**
+     * Return a slot's value to V's default state. A value that owns
+     * reusable storage provides reset() to clear in place (DirEntry
+     * keeps its spilled sharer words), so emptying and refilling a
+     * slot neither frees nor reallocates that storage.
+     */
+    static void
+    resetSlot(V &v)
+    {
+        if constexpr (requires { v.reset(); })
+            v.reset();
+        else
+            v = V();
+    }
 
     /** @return the slot holding @p k, or the empty slot where it
      *  would be inserted. */
@@ -201,7 +225,7 @@ class BlockMap
                     keys_[j] = kEmpty;
                     if constexpr (
                         !std::is_trivially_destructible_v<V>)
-                        vals_[j] = V();
+                        resetSlot(vals_[j]);
                     return;
                 }
                 const std::size_t h = homeOf(keys_[jn]);
@@ -211,6 +235,8 @@ class BlockMap
                     break;
             }
             keys_[j] = keys_[jn];
+            // A CoreSet moves by swapping, so spilled sharer words
+            // shift along with the entries instead of being freed.
             vals_[j] = std::move(vals_[jn]);
             j = jn;
         }
@@ -224,6 +250,7 @@ class BlockMap
         keys_.assign(cap, kEmpty);
         vals_.assign(cap, V());
         mask_ = cap - 1;
+        shift_ = 64 - floorLog2(cap);
         for (std::size_t i = 0; i < old_keys.size(); ++i) {
             if (old_keys[i] == kEmpty)
                 continue;
@@ -236,6 +263,7 @@ class BlockMap
     std::vector<BlockAddr> keys_;
     std::vector<V> vals_;
     std::size_t mask_ = 0;
+    int shift_ = 64; ///< 64 - log2(capacity): homeOf keeps the top bits
     std::size_t size_ = 0;
 };
 

@@ -16,8 +16,9 @@
  *
  * Sets auto-grow on set(): callers never declare a width up front,
  * and a default-constructed CoreSet is the empty set. This keeps
- * sizeof(CoreSet) at two pointers, which matters because DirEntry is
- * allocated once per block for every VM footprint (~1M entries/VM).
+ * sizeof(CoreSet) at two pointers, which matters because every
+ * directory slice pre-sizes a DirEntry slot per expected on-chip
+ * block (twice its share of the L2 lines).
  *
  * Semantics are pure value semantics: copies are deep, equality
  * ignores trailing zero words, and word I/O (words()/fromWords())

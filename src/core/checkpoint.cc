@@ -659,38 +659,51 @@ struct CkptAccess
         loadMsgQueues(d.waiting_, get(v, "waiting"));
     }
 
-    // --- directory storage (sparse: non-default entries only) ---
+    // --- directory entries (the slices hold non-Invalid ones) ---
 
     static Value
-    saveDirEntries(const DirectoryStorage &st)
+    saveDirEntries(const System &s)
     {
+        // The union of the slices' maps in ascending block order.
+        std::size_t n = 0;
+        for (const auto &d : s.dirs_)
+            n += d->numEntries();
+        std::vector<std::pair<BlockAddr, const DirEntry *>> all;
+        all.reserve(n);
+        for (const auto &d : s.dirs_)
+            d->forEachEntry([&](BlockAddr block, const DirEntry &e) {
+                all.emplace_back(block, &e);
+            });
+        std::sort(all.begin(), all.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
         Value v = Value::array();
-        // forEach walks (vm, offset) ascending: deterministic order.
-        st.forEach([&](BlockAddr block, const DirEntry &e) {
-            if (e.state == L2State::Invalid && e.sharers.none() &&
-                e.owner == -1)
-                return;
+        for (const auto &[block, e] : all) {
             Value rec = Value::array();
             rec.push(static_cast<std::uint64_t>(block));
-            rec.push(static_cast<int>(e.state));
-            rec.push(coreSetJson(e.sharers));
-            rec.push(static_cast<int>(e.owner));
+            rec.push(static_cast<int>(e->state));
+            rec.push(coreSetJson(e->sharers));
+            rec.push(static_cast<int>(e->owner));
             v.push(std::move(rec));
-        });
+        }
         return v;
     }
 
     static void
-    loadDirEntries(DirectoryStorage &st, const Value &v)
+    loadDirEntries(System &s, const Value &v)
     {
-        // The target System is freshly constructed, so every entry
-        // not listed here is already default.
+        // The target System is freshly constructed: every slice is
+        // empty, and a block not listed here stays Invalid.
         for (const Value &rec : v.items()) {
-            DirEntry e;
+            const BlockAddr block = rec.at(0).asUint();
+            CONSIM_ASSERT(s.windows_.contains(block),
+                          "checkpoint: directory entry outside "
+                          "registered windows: block ", block);
+            DirEntry &e = s.dirs_[s.homeTileFor(block)]->entries_[block];
             e.state = static_cast<L2State>(asInt(rec.at(1)));
             e.sharers = coreSetFromJson(rec.at(2));
             e.owner = static_cast<std::int16_t>(asInt(rec.at(3)));
-            st.entry(rec.at(0).asUint()) = e;
         }
     }
 
@@ -1074,7 +1087,7 @@ struct CkptAccess
         for (const auto &mc : s.mcs_)
             mcs.push(saveMc(*mc));
         m.set("mcs", std::move(mcs));
-        m.set("dir_entries", saveDirEntries(s.dirStorage_));
+        m.set("dir_entries", saveDirEntries(s));
         m.set("net", saveNet(s));
         m.set("faults", saveFaults(s));
         // QoS runtime state (v4): the dynamic repartitioner's way
@@ -1180,7 +1193,7 @@ struct CkptAccess
                       "checkpoint: MC count mismatch");
         for (std::size_t i = 0; i < s.mcs_.size(); ++i)
             loadMc(*s.mcs_[i], mcs.at(i));
-        loadDirEntries(s.dirStorage_, get(m, "dir_entries"));
+        loadDirEntries(s, get(m, "dir_entries"));
         loadNet(s, get(m, "net"));
         loadFaults(s, get(m, "faults"));
         if (const Value *q = m.find("qos")) {

@@ -29,13 +29,11 @@ System::System(const MachineConfig &cfg,
                           vms_[i]->id() == static_cast<VmId>(i),
                       "VM ids must be dense and ordered");
         if (i == 0)
-            spanBits_ = vms_[i]->spanBits();
-        CONSIM_ASSERT(vms_[i]->spanBits() == spanBits_,
+            windows_.setSpanBits(vms_[i]->spanBits());
+        CONSIM_ASSERT(vms_[i]->spanBits() == windows_.spanBits(),
                       "VMs disagree on the window width");
+        windows_.registerVm(vms_[i]->id(), vms_[i]->totalBlocks());
     }
-    dirStorage_.setSpanBits(spanBits_);
-    for (std::size_t i = 0; i < vms_.size(); ++i)
-        dirStorage_.registerVm(vms_[i]->id(), vms_[i]->totalBlocks());
 
     groupOf_.resize(n);
     for (CoreId t = 0; t < n; ++t)
@@ -106,7 +104,7 @@ System::System(const MachineConfig &cfg,
         cores_.push_back(std::make_unique<Core>(*this, t, *l1s_[t]));
         banks_.push_back(std::make_unique<L2Bank>(*this, t));
         dirs_.push_back(
-            std::make_unique<DirectorySlice>(*this, t, dirStorage_));
+            std::make_unique<DirectorySlice>(*this, t, windows_));
     }
     for (int i = 0; i < cfg_.numMemCtrls; ++i)
         mcs_.push_back(
@@ -1297,40 +1295,58 @@ System::checkGlobalCoherence() const
             });
     }
 
-    // Directory agreement in both directions.
-    dirStorage_.forEach([&](BlockAddr block, const DirEntry &e) {
-        auto it = copies.find(block);
-        static const GroupSet no_copies;
-        const GroupSet &held =
-            it == copies.end() ? no_copies : it->second.groups;
-        switch (e.state) {
-          case L2State::Invalid:
-            CONSIM_ASSERT(held.none(),
-                          "cached block directory thinks invalid: 0x",
+    // Directory agreement in both directions. A block without an
+    // entry is Invalid, so the entries are checked against the
+    // copies, and every held block must have an entry at its home.
+    static const GroupSet no_copies;
+    std::size_t entries = 0;
+    for (CoreId t = 0; t < cfg_.numCores(); ++t) {
+        dirs_[t]->forEachEntry([&](BlockAddr block, const DirEntry &e) {
+            ++entries;
+            CONSIM_ASSERT(homeTileFor(block) == t,
+                          "directory entry outside its home slice, "
+                          "block 0x", std::hex, block);
+            const auto it = copies.find(block);
+            const GroupSet &held =
+                it == copies.end() ? no_copies : it->second.groups;
+            CONSIM_ASSERT(e.state != L2State::Invalid,
+                          "Invalid directory entry kept for block 0x",
                           std::hex, block);
-            break;
-          case L2State::Shared:
-            CONSIM_ASSERT(e.sharers.any(), "S entry with no sharers");
-            CONSIM_ASSERT(held == e.sharers,
-                          "sharer mismatch for block 0x", std::hex,
-                          block);
-            break;
-          case L2State::Exclusive:
-          case L2State::Modified:
-            CONSIM_ASSERT(e.owner >= 0, "owned entry without owner");
-            CONSIM_ASSERT(held.isExactly(e.owner),
-                          "owner mismatch for block 0x", std::hex,
-                          block);
-            break;
-        }
-        // Only owned lines may be dirty or exclusive in a cache.
-        if (it != copies.end() && e.state == L2State::Shared) {
-            CONSIM_ASSERT(it->second.dirtyish.none(),
-                          "dirty/exclusive cache line under a Shared "
-                          "directory entry, block 0x",
-                          std::hex, block);
-        }
-    });
+            switch (e.state) {
+              case L2State::Invalid:
+                break;
+              case L2State::Shared:
+                CONSIM_ASSERT(e.sharers.any(),
+                              "S entry with no sharers");
+                CONSIM_ASSERT(held == e.sharers,
+                              "sharer mismatch for block 0x", std::hex,
+                              block);
+                // Only owned lines may be dirty or exclusive.
+                CONSIM_ASSERT(it == copies.end() ||
+                                  it->second.dirtyish.none(),
+                              "dirty/exclusive cache line under a "
+                              "Shared directory entry, block 0x",
+                              std::hex, block);
+                break;
+              case L2State::Exclusive:
+              case L2State::Modified:
+                CONSIM_ASSERT(e.owner >= 0,
+                              "owned entry without owner");
+                CONSIM_ASSERT(held.isExactly(e.owner),
+                              "owner mismatch for block 0x", std::hex,
+                              block);
+                break;
+            }
+        });
+    }
+    for (const auto &[block, c] : copies) {
+        CONSIM_ASSERT(dirs_[homeTileFor(block)]->entry(block),
+                      "cached block directory thinks invalid: 0x",
+                      std::hex, block);
+    }
+    CONSIM_ASSERT(entries == copies.size(), "directory tracks ",
+                  entries, " blocks but L2 partitions hold ",
+                  copies.size());
 
     // L1 inclusion: every valid L1 line is covered by its group's
     // partition line and presence bits.
@@ -1535,44 +1551,52 @@ System::auditSharerState() const
         return true;
     };
 
-    dirStorage_.forEach([&](BlockAddr block, const DirEntry &e) {
-        const auto it = held.find(block);
-        static const GroupSet no_copies;
-        const GroupSet &copies =
-            it == held.end() ? no_copies : it->second;
-        if (e.state == L2State::Invalid && copies.none())
-            return; // fast path: the overwhelming majority
-        if (!quiet(block))
-            return;
-        switch (e.state) {
-          case L2State::Invalid:
-            CONSIM_CHECK_FAIL("sharer audit: block 0x", std::hex,
-                              block, std::dec, " cached in ",
-                              copies.count(), " partition(s) but "
-                              "directory says Invalid");
-            break;
-          case L2State::Shared:
-            if (copies != e.sharers) {
+    static const GroupSet no_copies;
+    for (const auto &d : dirs_) {
+        d->forEachEntry([&](BlockAddr block, const DirEntry &e) {
+            if (!quiet(block))
+                return;
+            const auto it = held.find(block);
+            const GroupSet &copies =
+                it == held.end() ? no_copies : it->second;
+            switch (e.state) {
+              case L2State::Invalid:
                 CONSIM_CHECK_FAIL("sharer audit: block 0x", std::hex,
-                                  block, std::dec,
-                                  " sharer mismatch (dir=",
-                                  e.sharers.count(), " groups, held=",
-                                  copies.count(), " groups)");
+                                  block, std::dec, " keeps an Invalid "
+                                  "directory entry");
+                break;
+              case L2State::Shared:
+                if (copies != e.sharers) {
+                    CONSIM_CHECK_FAIL("sharer audit: block 0x",
+                                      std::hex, block, std::dec,
+                                      " sharer mismatch (dir=",
+                                      e.sharers.count(),
+                                      " groups, held=", copies.count(),
+                                      " groups)");
+                }
+                break;
+              case L2State::Exclusive:
+              case L2State::Modified:
+                if (e.owner < 0 || !copies.isExactly(e.owner)) {
+                    CONSIM_CHECK_FAIL("sharer audit: block 0x",
+                                      std::hex, block, std::dec,
+                                      " owner mismatch (dir owner=",
+                                      static_cast<int>(e.owner),
+                                      " held=", copies.count(),
+                                      " groups)");
+                }
+                break;
             }
-            break;
-          case L2State::Exclusive:
-          case L2State::Modified:
-            if (e.owner < 0 || !copies.isExactly(e.owner)) {
-                CONSIM_CHECK_FAIL("sharer audit: block 0x", std::hex,
-                                  block, std::dec,
-                                  " owner mismatch (dir owner=",
-                                  static_cast<int>(e.owner),
-                                  " held=", copies.count(),
-                                  " groups)");
-            }
-            break;
-        }
-    });
+        });
+    }
+    // A held block with no entry is one the directory thinks Invalid.
+    for (const auto &[block, copies] : held) {
+        if (dirs_[homeTileFor(block)]->entry(block) || !quiet(block))
+            continue;
+        CONSIM_CHECK_FAIL("sharer audit: block 0x", std::hex, block,
+                          std::dec, " cached in ", copies.count(),
+                          " partition(s) but directory says Invalid");
+    }
 }
 
 json::Value

@@ -120,7 +120,7 @@ class System : public Fabric
     CoreId memTileFor(BlockAddr block) const override;
     VmId vmOfBlock(BlockAddr block) const override
     {
-        return static_cast<VmId>(block >> spanBits_);
+        return static_cast<VmId>(block >> windows_.spanBits());
     }
     Cycle memFaultExtraLatency() const override;
     std::uint64_t qosWayMask(VmId vm) const override;
@@ -193,7 +193,6 @@ class System : public Fabric
     L2Bank &bank(CoreId t) { return *banks_.at(t); }
     DirectorySlice &dir(CoreId t) { return *dirs_.at(t); }
     Network &network() { return *net_; }
-    DirectoryStorage &directoryStorage() { return dirStorage_; }
     int numVms() const { return static_cast<int>(vms_.size()); }
     VirtualMachine &vm(VmId v) { return *vms_.at(v); }
 
@@ -519,8 +518,7 @@ class System : public Fabric
     std::vector<GroupLut> membersOf_;              ///< per group
     std::vector<CoreId> mcTiles_;
 
-    int spanBits_ = vmSpanBits; ///< run's VM-window width (decode)
-    DirectoryStorage dirStorage_;
+    VmWindows windows_; ///< run's VM windows (decode, stray checks)
     std::unique_ptr<Network> net_;
     std::vector<std::unique_ptr<L1Controller>> l1s_;
     std::vector<std::unique_ptr<Core>> cores_;

@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/check.hh"
+#include "common/json.hh"
 #include "common/rng.hh"
 #include "core/system.hh"
 
@@ -246,6 +249,82 @@ TEST(ProtocolStressExtra, ReadersAndOneWriterPingPong)
     for (CoreId t = 0; t < 16; ++t)
         invs += sys.dir(t).sliceStats().invalidations.value();
     EXPECT_GT(invs, 100u);
+}
+
+TEST(ProtocolStressExtra, DroppedDirectoryEntryFailsBothChecks)
+{
+    // A missing directory entry means Invalid, so a walk over the
+    // entries alone never visits a cached block whose entry was
+    // lost. Both checks also walk the blocks the partitions hold:
+    // restore a settled machine from a snapshot with one entry
+    // removed, and each must report the block.
+    const check::Level saved_level = check::level();
+    check::setLevel(check::Level::Basic); // asserts throw, not abort
+    const WorkloadProfile prof = stressProfile();
+    VirtualMachine vm(prof, 0, 11);
+    MachineConfig cfg;
+    cfg.sharing = SharingDegree::Shared4;
+
+    json::Value doc;
+    {
+        System sys(cfg, {&vm}, {});
+        std::vector<std::unique_ptr<RandomStream>> streams;
+        for (CoreId c = 0; c < 16; ++c) {
+            streams.push_back(std::make_unique<RandomStream>(
+                300 + c, vmBaseBlock(0), 2048, 0.4, 1500));
+            sys.core(c).bindThread(streams.back().get(), 0);
+        }
+        bool settled = false;
+        for (int iter = 0; iter < 8000 && !settled; ++iter) {
+            sys.run(64);
+            settled = sys.quiesced();
+            for (const auto &s : streams)
+                settled = settled && s->done();
+        }
+        ASSERT_TRUE(settled);
+        sys.checkGlobalCoherence();
+        // The test streams are not VM threads, which a snapshot
+        // cannot name; they are drained, so unbind them.
+        for (CoreId c = 0; c < 16; ++c)
+            sys.core(c).bindThread(nullptr, 0);
+        doc = sys.saveCheckpoint();
+    }
+
+    // Control: the untouched snapshot restores into a coherent
+    // machine.
+    {
+        System sys(cfg, {&vm}, {});
+        sys.restoreCheckpoint(doc);
+        EXPECT_NO_THROW(sys.checkGlobalCoherence());
+        EXPECT_NO_THROW(sys.auditWindow());
+    }
+
+    json::Value *machine = doc.find("machine");
+    ASSERT_NE(machine, nullptr);
+    const json::Value *entries = machine->find("dir_entries");
+    ASSERT_NE(entries, nullptr);
+    ASSERT_GT(entries->size(), 1u);
+    json::Value kept = json::Value::array();
+    for (std::size_t i = 1; i < entries->size(); ++i)
+        kept.push(entries->at(i));
+    machine->set("dir_entries", std::move(kept));
+
+    System sys(cfg, {&vm}, {});
+    sys.restoreCheckpoint(doc);
+    const auto expect_fail = [](auto &&check, const char *what) {
+        try {
+            check();
+            ADD_FAILURE() << "check passed with a dropped entry";
+        } catch (const SimError &e) {
+            EXPECT_NE(std::string(e.what()).find(what),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expect_fail([&] { sys.checkGlobalCoherence(); },
+                "directory thinks invalid");
+    expect_fail([&] { sys.auditWindow(); }, "directory says Invalid");
+    check::setLevel(saved_level);
 }
 
 } // namespace

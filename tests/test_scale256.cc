@@ -12,12 +12,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/json.hh"
 #include "core/experiment.hh"
 #include "core/mix.hh"
 #include "core/report.hh"
+#include "core/scheduler.hh"
+#include "core/system.hh"
+#include "core/vm.hh"
 
 using namespace consim;
 
@@ -167,4 +172,65 @@ TEST(Scale256, OverCommitWorksOnLargeMeshes)
     for (const auto &v : r.vms)
         instr += v.instructions;
     EXPECT_GT(instr, 0u);
+}
+
+namespace
+{
+
+/** Directory entry slots a freshly built System reserves for
+ *  @p cfg, summed over the home slices. */
+std::uint64_t
+reservedDirectorySlots(const RunConfig &cfg, std::uint64_t *footprint)
+{
+    std::vector<std::unique_ptr<VirtualMachine>> storage;
+    std::vector<VirtualMachine *> vms;
+    std::vector<int> threads;
+    // 96 threads of the largest Mix 1 VM touch ~21M blocks; windows
+    // four times the default width fit every point here.
+    const int span_bits = vmSpanBits + 2;
+    for (std::size_t i = 0; i < cfg.workloads.size(); ++i) {
+        storage.push_back(std::make_unique<VirtualMachine>(
+            WorkloadProfile::get(cfg.workloads[i]),
+            static_cast<VmId>(i), cfg.seed, cfg.vmThreads.at(i),
+            span_bits));
+        vms.push_back(storage.back().get());
+        threads.push_back(storage.back()->numThreads());
+    }
+    *footprint = 0;
+    for (const VirtualMachine *vm : vms)
+        *footprint += vm->totalBlocks();
+    System sys(cfg.machine, vms,
+               scheduleThreads(cfg.machine, threads, cfg.policy,
+                               cfg.seed));
+    std::uint64_t slots = 0;
+    for (CoreId t = 0; t < cfg.machine.numCores(); ++t) {
+        EXPECT_EQ(sys.dir(t).numEntries(), 0u) << "tile " << t;
+        slots += sys.dir(t).entryCapacity();
+    }
+    return slots;
+}
+
+} // namespace
+
+TEST(Scale256, DirectoryReservesByL2LinesNotFootprint)
+{
+    // The directory is sparse: a 16x16 chip running Mix 1 with 96
+    // threads per VM (the fig16 point, ~65M footprint blocks)
+    // reserves entry slots in proportion to the L2 lines, and the
+    // same chip with a quarter of the threads reserves exactly as
+    // many.
+    RunConfig cfg = scaleConfig(16, 16, SharingDegree::Shared16,
+                                SchedPolicy::Affinity);
+    cfg.vmThreads = {96, 96, 96, 96};
+    std::uint64_t footprint = 0;
+    const std::uint64_t slots = reservedDirectorySlots(cfg, &footprint);
+    const std::uint64_t l2_lines = cfg.machine.l2TotalBytes / blockBytes;
+    EXPECT_GE(slots, l2_lines);
+    EXPECT_LE(slots, 8 * l2_lines);
+    EXPECT_GT(footprint, 16 * slots);
+
+    cfg.vmThreads = {24, 24, 24, 24};
+    std::uint64_t small_footprint = 0;
+    EXPECT_EQ(reservedDirectorySlots(cfg, &small_footprint), slots);
+    EXPECT_LT(small_footprint, footprint);
 }

@@ -3,7 +3,8 @@
 # determinism check (--run-jobs 4 must match serial byte-for-byte), a
 # scale-out smoke (32-core/8-VM parallel determinism and
 # checkpoint-resume byte-identity), a scale-to-256 smoke (128-core
-# over-committed parallel determinism + resume byte-identity), a
+# over-committed parallel determinism + resume byte-identity, and a
+# 256-core over-committed resume byte-identity), a
 # zero-allocation assertion over the measure window, an isolation
 # smoke (QoS must protect the VM) and a dyn-sched smoke (migration
 # must beat the static placement on the bursty mix, and resume across
@@ -143,7 +144,7 @@ diff -u "$scale_dir/serial.result" "$scale_dir/resumed.result" || {
     exit 1; }
 echo "scale-out smoke: 32-core parallel + resume byte-identical"
 
-echo "=== scale-to-256 smoke: 128-core chip, over-committed ==="
+echo "=== scale-to-256 smoke: 128- and 256-core chips, over-committed ==="
 # The same two contracts at the consolidation-study scale: a 16x8 mesh
 # running Mix 1 with 1.5x over-committed schedules (192 threads on 128
 # cores, so the time-sliced context rotation is live). Short windows —
@@ -178,6 +179,32 @@ diff -u "$big_dir/serial.result" "$big_dir/resumed.result" || {
     echo "scale-to-256 smoke: resumed result diverged at 128 cores" >&2
     exit 1; }
 echo "scale-to-256 smoke: 128-core parallel + resume byte-identical"
+
+# The full 16x16 point: Mix 1 with 96 threads per VM (384 threads on
+# 256 cores), tripped after its first snapshot and resumed. The sparse
+# directory keeps System set-up and snapshots O(on-chip), so the whole
+# 256-core trip-and-resume costs seconds.
+huge_args=(--mesh 16x16 --sharing 16 --mix "Mix 1" --policy affinity
+    --vm-threads 96,96,96,96
+    --warmup 10000 --measure 10000 --watchdog 20000)
+./build/tools/consim_run "${huge_args[@]}" \
+    --json "$big_dir/serial256.json" >/dev/null
+if ./build/tools/consim_run "${huge_args[@]}" \
+    --deadline 12000 --ckpt-every 10000 \
+    --ckpt-out "$big_dir/trip256.ckpt" >/dev/null 2>&1; then
+    echo "scale-to-256 smoke: 256-core deadline run unexpectedly succeeded" >&2
+    exit 1
+fi
+[[ -s "$big_dir/trip256.ckpt" ]] || {
+    echo "scale-to-256 smoke: no 256-core checkpoint written" >&2; exit 1; }
+./build/tools/consim_run --resume "$big_dir/trip256.ckpt" \
+    --json "$big_dir/resumed256.json" >/dev/null
+awk '/"result": \{/,0' "$big_dir/serial256.json" >"$big_dir/serial256.result"
+awk '/"result": \{/,0' "$big_dir/resumed256.json" >"$big_dir/resumed256.result"
+diff -u "$big_dir/serial256.result" "$big_dir/resumed256.result" || {
+    echo "scale-to-256 smoke: resumed result diverged at 256 cores" >&2
+    exit 1; }
+echo "scale-to-256 smoke: 256-core resume byte-identical"
 
 echo "=== zero-allocation: measure window allocates nothing ==="
 # The pooled/arena hot paths must keep the steady state off the heap:
