@@ -8,14 +8,16 @@
  * simulation under the tile-parallel event core at --run-jobs 1/2/4
  * with its speedup over serial (and a hard equality check — parallel
  * must reproduce serial exactly), (c) wall time for an 8-config
- * sweep run serially vs. on the parallel sweep engine, and (d) a
+ * sweep run serially vs. on the parallel sweep engine, (d) a
  * 64-core (8x8 mesh) consolidation point, also median-of-3, so the
  * trajectory tracks the scale path and not only the paper's 16-core
- * chip. Future PRs diff these numbers to catch perf regressions
- * (tools/ci.sh gates on cycles_per_sec against the committed
- * BENCH_<pr>.json); the envelope carries host metadata (CPU model,
- * load average) so a regression report can be told apart from a
- * busy host.
+ * chip, and (e) a 256-core (16x16) point with fig16_scale256's
+ * over-committed Mix 1 config, timed over three steady-state windows
+ * after an untimed warmup. Future PRs diff these numbers to catch
+ * perf regressions (tools/ci.sh gates on cycles_per_sec against the
+ * committed BENCH_<pr>.json); the envelope carries host metadata
+ * (CPU model, load average) so a regression report can be told apart
+ * from a busy host.
  *
  * Knobs: CONSIM_PERF_CYCLES (measurement window per sim, default
  * 300000), CONSIM_JOBS (sweep parallelism, default
@@ -33,7 +35,10 @@
  *    "sweep_configs":8,"sweep_serial_s":...,
  *    "sweep_parallel_s":...,"sweep_speedup":...,"jobs":N,
  *    "cores_64":{"mesh":"8x8","sim_cycles":...,"sim_wall_s":...,
- *                "cycles_per_sec":...}}
+ *                "cycles_per_sec":...},
+ *    "cores_256":{"mesh":"16x16","vm_threads":384,
+ *                 "warmup_cycles":...,"sim_cycles":...,
+ *                 "sim_wall_s":...,"cycles_per_sec":...}}
  */
 
 #include <chrono>
@@ -47,6 +52,7 @@
 #include "common/parse.hh"
 #include "core/experiment.hh"
 #include "core/mix.hh"
+#include "core/system.hh"
 #include "exec/sweep.hh"
 
 namespace
@@ -204,6 +210,32 @@ main()
         big_wall > 0.0 ? static_cast<double>(big_cycles) / big_wall
                        : 0.0;
 
+    // --- 256-core consolidation point (16x16 mesh) ---
+    // fig16_scale256's config: Mix 1, affinity, shared-16 L2, 96
+    // threads per VM (1.5x over-committed). Set-up and warmup run
+    // once, untimed; the median is over three consecutive windows of
+    // the warmed System, so this is steady-state throughput.
+    RunConfig huge = mixConfig(Mix::byName("Mix 1"),
+                               SchedPolicy::Affinity,
+                               SharingDegree::Shared16);
+    huge.machine.meshX = 16;
+    huge.machine.meshY = 16;
+    huge.vmThreads = {96, 96, 96, 96};
+    huge.seed = 13;
+    const Cycle huge_warmup = cycles / 5;
+    const Cycle huge_window = cycles / 10;
+    double huge_wall = 0.0;
+    {
+        ExperimentRig rig = buildExperimentRig(huge);
+        System sys(huge.machine, rig.vms, rig.placements);
+        sys.run(huge_warmup);
+        huge_wall = medianWall(timingReps,
+                               [&] { sys.run(huge_window); });
+    }
+    const double huge_cps =
+        huge_wall > 0.0 ? static_cast<double>(huge_window) / huge_wall
+                        : 0.0;
+
     std::printf(
         "{\"schema\":\"consim.bench.v1\",\"bench\":\"perf_smoke\",");
     benchutil::printHostMeta();
@@ -230,9 +262,14 @@ main()
         "\"sweep_parallel_s\":%.3f,\"sweep_speedup\":%.2f,"
         "\"jobs\":%d,"
         "\"cores_64\":{\"mesh\":\"8x8\",\"sim_cycles\":%llu,"
+        "\"sim_wall_s\":%.3f,\"cycles_per_sec\":%.0f},"
+        "\"cores_256\":{\"mesh\":\"16x16\",\"vm_threads\":384,"
+        "\"warmup_cycles\":%llu,\"sim_cycles\":%llu,"
         "\"sim_wall_s\":%.3f,\"cycles_per_sec\":%.0f}}\n",
         sweep.size(), serial_s, parallel_s, speedup, sweepJobs(),
         static_cast<unsigned long long>(big_cycles), big_wall,
-        big_cps);
+        big_cps, static_cast<unsigned long long>(huge_warmup),
+        static_cast<unsigned long long>(huge_window), huge_wall,
+        huge_cps);
     return 0;
 }

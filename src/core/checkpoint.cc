@@ -769,25 +769,30 @@ struct CkptAccess
         return v;
     }
 
-    static RouterPacket
-    loadPacket(const Value &v)
+    static PacketId
+    loadPacket(PacketPool &pool, const Value &v)
     {
-        RouterPacket p;
+        const PacketId id = pool.alloc();
+        RouterPacket &p = pool[id];
         p.msg = msgFromJson(v.at(0));
         p.lenFlits = static_cast<int>(asInt(v.at(1)));
         p.readyCycle = v.at(2).asUint();
         p.outPort = static_cast<int>(asInt(v.at(3)));
-        return p;
+        return id;
     }
 
+    /** @p last_tick is the cycle the mesh last ticked (the
+     *  snapshot cycle - 1). A busy output completes at tick doneAt,
+     *  so it is stored as remaining = doneAt - last_tick, the flits
+     *  it still has to send. */
     static Value
-    saveRouter(const Router &r)
+    saveRouter(const Router &r, Cycle last_tick)
     {
         Value ins = Value::array();
         for (const Router::InputVc &ivc : r.inputs_) {
             Value q = Value::array();
-            for (const RouterPacket &p : ivc.q)
-                q.push(savePacket(p));
+            for (const PacketId id : ivc.q)
+                q.push(savePacket(r.pool_[id]));
             Value e = Value::object();
             e.set("free", ivc.freeFlits);
             e.set("q", std::move(q));
@@ -799,9 +804,10 @@ struct CkptAccess
             Value e = Value::object();
             e.set("busy", o.busy);
             if (o.busy) {
-                e.set("remaining", o.remaining);
+                e.set("remaining",
+                      static_cast<int>(o.doneAt - last_tick));
                 e.set("dst_vc", o.dstVc);
-                e.set("pkt", savePacket(o.pkt));
+                e.set("pkt", savePacket(r.pool_[o.pkt]));
             }
             outs.push(std::move(e));
         }
@@ -815,7 +821,7 @@ struct CkptAccess
     }
 
     static void
-    loadRouter(Router &r, const Value &v)
+    loadRouter(Router &r, const Value &v, Cycle last_tick)
     {
         const Value &ins = get(v, "inputs");
         CONSIM_ASSERT(ins.size() == r.inputs_.size(),
@@ -826,7 +832,7 @@ struct CkptAccess
             ivc.freeFlits = static_cast<int>(asInt(get(e, "free")));
             ivc.q.clear();
             for (const Value &p : get(e, "q").items())
-                ivc.q.push_back(loadPacket(p));
+                ivc.q.push_back(loadPacket(r.pool_, p));
         }
         const Value &outs = get(v, "outputs");
         CONSIM_ASSERT(outs.size() == NumPorts,
@@ -836,21 +842,24 @@ struct CkptAccess
             const Value &e = outs.at(p);
             o.busy = get(e, "busy").boolean();
             if (o.busy) {
-                o.remaining =
-                    static_cast<int>(asInt(get(e, "remaining")));
+                o.doneAt = last_tick + asInt(get(e, "remaining"));
                 o.dstVc = static_cast<int>(asInt(get(e, "dst_vc")));
-                o.pkt = loadPacket(get(e, "pkt"));
+                o.pkt = loadPacket(r.pool_, get(e, "pkt"));
             } else {
-                o.remaining = 0;
+                o.doneAt = 0;
                 o.dstVc = 0;
-                o.pkt = RouterPacket{};
+                o.pkt = 0;
             }
         }
         r.rrInput_ = static_cast<int>(asInt(get(v, "rr")));
-        r.buffered_ = static_cast<int>(asInt(get(v, "buffered")));
-        r.busyOutputs_ =
-            static_cast<int>(asInt(get(v, "busy_outputs")));
-        r.rebuildOccupancy();
+        // The counts are derived state: recount them, and the
+        // stored copies must agree.
+        r.rebuildActivity();
+        CONSIM_ASSERT(r.buffered_ == asInt(get(v, "buffered")) &&
+                          r.busyOutputs_ ==
+                              asInt(get(v, "busy_outputs")),
+                      "checkpoint: router ", r.tile_,
+                      " packet counts disagree with its queues");
     }
 
     static Value
@@ -862,9 +871,14 @@ struct CkptAccess
         v.set("ejected", n.ejectedTotal_);
         if (const auto *mesh = dynamic_cast<const Mesh *>(&n)) {
             v.set("kind", "mesh");
+            CONSIM_ASSERT(mesh->shared_.busyLinks == 0 ||
+                              mesh->lastTick_ + 1 == s.now_,
+                          "checkpoint: mesh clock (last tick ",
+                          mesh->lastTick_, ") lags the machine (",
+                          s.now_, ")");
             Value routers = Value::array();
             for (const auto &r : mesh->routers_)
-                routers.push(saveRouter(*r));
+                routers.push(saveRouter(*r, s.now_ - 1));
             v.set("routers", std::move(routers));
             Value nis = Value::array();
             for (const auto &ni : mesh->nis_) {
@@ -909,8 +923,10 @@ struct CkptAccess
             const Value &routers = get(v, "routers");
             CONSIM_ASSERT(routers.size() == mesh->routers_.size(),
                           "checkpoint: router count mismatch");
+            mesh->shared_.pool.clear();
             for (std::size_t i = 0; i < mesh->routers_.size(); ++i)
-                loadRouter(*mesh->routers_[i], routers.at(i));
+                loadRouter(*mesh->routers_[i], routers.at(i),
+                           s.now_ - 1);
             const Value &nis = get(v, "nis");
             CONSIM_ASSERT(nis.size() == mesh->nis_.size(),
                           "checkpoint: NI count mismatch");
@@ -926,6 +942,7 @@ struct CkptAccess
                 }
                 ni.recountQueued();
             }
+            mesh->rebuildActivity();
         } else {
             auto *ideal = dynamic_cast<IdealNetwork *>(&n);
             CONSIM_ASSERT(ideal != nullptr && kind == "ideal",

@@ -19,15 +19,19 @@ namespace
 {
 
 /**
- * Window defaults treat an explicit "0" like unset (you cannot ask for
- * a zero-cycle window); malformed values are fatal via envU64 rather
- * than silently running the built-in default.
+ * Window lengths from the environment. Unset means the built-in
+ * default; "0" (an empty window) and malformed values are fatal
+ * rather than silently running the default.
  */
 Cycle
 envCycles(const char *name, Cycle fallback)
 {
-    const std::uint64_t v = envU64(name, 0);
-    return v ? v : fallback;
+    const std::uint64_t v = envU64(name, fallback);
+    if (v == 0) {
+        CONSIM_FATAL(name, "=0 asks for an empty window; unset it for "
+                     "the default or pass a positive cycle count");
+    }
+    return v;
 }
 
 } // namespace
@@ -317,58 +321,6 @@ configEchoFromCtx(const json::Value &v)
 
 // --- experiment rig and phase driver ------------------------------
 
-/** The pieces a System borrows: VM storage and thread placements. */
-struct ExperimentRig
-{
-    std::vector<std::unique_ptr<VirtualMachine>> storage;
-    std::vector<VirtualMachine *> vms;
-    std::vector<ThreadPlacement> placements;
-};
-
-/** Build VMs + placements for @p cfg; deterministic in cfg alone. */
-ExperimentRig
-buildRig(const RunConfig &cfg)
-{
-    ExperimentRig rig;
-    CONSIM_ASSERT(cfg.vmThreads.empty() ||
-                      cfg.vmThreads.size() == cfg.workloads.size(),
-                  "vmThreads must be empty or give one entry per VM (",
-                  cfg.vmThreads.size(), " entries for ",
-                  cfg.workloads.size(), " VMs)");
-    // The run's VM-window width is the smallest that fits the
-    // largest instance (requiredVmSpanBits): runs whose VMs all fit
-    // the default keep byte-identical addresses to the fixed-width
-    // implementation, and over-committed scale runs (say 96 threads
-    // per VM at 256 cores) widen every window in lockstep.
-    std::uint64_t max_blocks = 0;
-    for (std::size_t i = 0; i < cfg.workloads.size(); ++i) {
-        const auto &prof = WorkloadProfile::get(cfg.workloads[i]);
-        const auto nthreads = static_cast<std::uint64_t>(
-            i < cfg.vmThreads.size() && cfg.vmThreads[i] > 0
-                ? cfg.vmThreads[i]
-                : prof.numThreads);
-        max_blocks = std::max(
-            max_blocks, prof.sharedRoBlocks + prof.migratoryBlocks +
-                            nthreads * prof.privateBlocksPerThread);
-    }
-    const int span_bits = requiredVmSpanBits(max_blocks);
-    std::vector<int> threads_per_vm;
-    for (std::size_t i = 0; i < cfg.workloads.size(); ++i) {
-        const auto &prof = WorkloadProfile::get(cfg.workloads[i]);
-        const int nthreads =
-            i < cfg.vmThreads.size() ? cfg.vmThreads[i] : 0;
-        rig.storage.push_back(std::make_unique<VirtualMachine>(
-            prof, static_cast<VmId>(i),
-            cfg.seed * 1000003ull + i * 7919ull, nthreads,
-            span_bits));
-        rig.vms.push_back(rig.storage.back().get());
-        threads_per_vm.push_back(rig.storage.back()->numThreads());
-    }
-    rig.placements = scheduleThreads(cfg.machine, threads_per_vm,
-                                     cfg.policy, cfg.seed);
-    return rig;
-}
-
 /**
  * Resolve every env-defaulted knob so the config is self-contained:
  * the checkpoint context embeds the resolved copy, making a resume
@@ -533,11 +485,54 @@ extractResult(System &sys, const std::vector<VirtualMachine *> &vms,
 
 } // namespace
 
+ExperimentRig
+buildExperimentRig(const RunConfig &cfg)
+{
+    ExperimentRig rig;
+    CONSIM_ASSERT(cfg.vmThreads.empty() ||
+                      cfg.vmThreads.size() == cfg.workloads.size(),
+                  "vmThreads must be empty or give one entry per VM (",
+                  cfg.vmThreads.size(), " entries for ",
+                  cfg.workloads.size(), " VMs)");
+    // The run's VM-window width is the smallest that fits the
+    // largest instance (requiredVmSpanBits): runs whose VMs all fit
+    // the default keep byte-identical addresses to the fixed-width
+    // implementation, and over-committed scale runs (say 96 threads
+    // per VM at 256 cores) widen every window in lockstep.
+    std::uint64_t max_blocks = 0;
+    for (std::size_t i = 0; i < cfg.workloads.size(); ++i) {
+        const auto &prof = WorkloadProfile::get(cfg.workloads[i]);
+        const auto nthreads = static_cast<std::uint64_t>(
+            i < cfg.vmThreads.size() && cfg.vmThreads[i] > 0
+                ? cfg.vmThreads[i]
+                : prof.numThreads);
+        max_blocks = std::max(
+            max_blocks, prof.sharedRoBlocks + prof.migratoryBlocks +
+                            nthreads * prof.privateBlocksPerThread);
+    }
+    const int span_bits = requiredVmSpanBits(max_blocks);
+    std::vector<int> threads_per_vm;
+    for (std::size_t i = 0; i < cfg.workloads.size(); ++i) {
+        const auto &prof = WorkloadProfile::get(cfg.workloads[i]);
+        const int nthreads =
+            i < cfg.vmThreads.size() ? cfg.vmThreads[i] : 0;
+        rig.storage.push_back(std::make_unique<VirtualMachine>(
+            prof, static_cast<VmId>(i),
+            cfg.seed * 1000003ull + i * 7919ull, nthreads,
+            span_bits));
+        rig.vms.push_back(rig.storage.back().get());
+        threads_per_vm.push_back(rig.storage.back()->numThreads());
+    }
+    rig.placements = scheduleThreads(cfg.machine, threads_per_vm,
+                                     cfg.policy, cfg.seed);
+    return rig;
+}
+
 RunResult
 runExperiment(const RunConfig &cfg)
 {
     const RunConfig res = resolveConfig(cfg);
-    ExperimentRig rig = buildRig(res);
+    ExperimentRig rig = buildExperimentRig(res);
     System sys(res.machine, rig.vms, rig.placements);
     armSystem(sys, res);
     if (res.qos.enabled())
@@ -599,7 +594,7 @@ resumeExperiment(const json::Value &ckpt)
     const RunConfig res = configFromCtx(ctxGet(ctx, "config"));
     const RunConfig raw = configEchoFromCtx(ctxGet(ctx, "config"));
 
-    ExperimentRig rig = buildRig(res);
+    ExperimentRig rig = buildExperimentRig(res);
     System sys(res.machine, rig.vms, rig.placements);
     // The QoS config must be reinstalled before restore: the loaders
     // check the MC token-bucket layout and the dynamic repartitioner

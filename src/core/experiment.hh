@@ -11,6 +11,7 @@
 #define CONSIM_CORE_EXPERIMENT_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/config.hh"
@@ -163,6 +164,21 @@ struct RunResult
 
 /** Run one simulation point. */
 RunResult runExperiment(const RunConfig &cfg);
+
+/** The VMs and thread placements a System for one point borrows. */
+struct ExperimentRig
+{
+    std::vector<std::unique_ptr<VirtualMachine>> storage;
+    std::vector<VirtualMachine *> vms;
+    std::vector<ThreadPlacement> placements;
+};
+
+/**
+ * Build @p cfg's VMs and placements exactly as runExperiment does
+ * (deterministic in cfg alone), for callers that drive a System's
+ * phases themselves.
+ */
+ExperimentRig buildExperimentRig(const RunConfig &cfg);
 
 /**
  * Recover the full RunConfig embedded in a `consim.ckpt.v5` document's

@@ -34,12 +34,9 @@ NetworkInterface::tickSlow(Cycle now)
                                 &vc))
             continue;
         router_->reserve(PortLocal, vc, len);
-        RouterPacket pkt;
-        pkt.msg = std::move(q.front());
+        router_->injectLocal(vc, std::move(q.front()), len, now);
         q.pop_front();
         --queuedTotal_;
-        pkt.lenFlits = len;
-        router_->arrive(PortLocal, vc, std::move(pkt), now);
     }
 }
 

@@ -1,14 +1,17 @@
 #include "noc/router.hh"
 
+#include <algorithm>
+
 #include "common/check.hh"
 #include "common/logging.hh"
 
 namespace consim
 {
 
-Router::Router(CoreId tile, const NocParams &params, NetworkStats *stats)
-    : tile_(tile), params_(params), stats_(stats),
-      inputs_(NumPorts * params.totalVcs())
+Router::Router(CoreId tile, const NocParams &params, NetworkStats *stats,
+               MeshShared *shared)
+    : tile_(tile), params_(params), stats_(stats), shared_(shared),
+      pool_(shared->pool), inputs_(NumPorts * params.totalVcs())
 {
     CONSIM_ASSERT(params_.vcBufferFlits >= params_.dataFlits,
                   "VC buffer must hold a full data packet");
@@ -84,58 +87,84 @@ Router::reserve(int in_port, int vc, int len)
 }
 
 void
-Router::arrive(int in_port, int vc, RouterPacket pkt, Cycle now)
+Router::arrive(int in_port, int vc, PacketId id, Cycle now)
 {
     // RC stage: compute the output port once, on arrival.
+    RouterPacket &pkt = pool_[id];
     pkt.outPort = xyRoute(tile_, pkt.msg.dstTile, params_.meshX);
     pkt.readyCycle = now + params_.pipelineDelay;
-    in(in_port, vc).q.push_back(std::move(pkt));
+    in(in_port, vc).q.push_back(id);
     occ_ |= std::uint64_t(1)
             << (in_port * params_.totalVcs() + vc);
+    // A packet landing behind a head is ready no earlier than that
+    // head, so the minimum keeps wakeAt_ the earliest head.
+    wakeAt_ = std::min(wakeAt_, pkt.readyCycle);
     ++buffered_;
+    markActive();
+}
+
+void
+Router::injectLocal(int vc, Msg &&m, int len_flits, Cycle now)
+{
+    const PacketId id = pool_.alloc();
+    RouterPacket &pkt = pool_[id];
+    pkt.msg = std::move(m);
+    pkt.lenFlits = len_flits;
+    arrive(PortLocal, vc, id, now);
 }
 
 void
 Router::tickOutputsSlow(Cycle now)
 {
+    Cycle earliest = cycleNever;
     for (int port = 0; port < NumPorts; ++port) {
         auto &out = outputs_[port];
         if (!out.busy)
             continue;
-        ++stats_->linkBusyCycles;
-        if (--out.remaining > 0)
+        if (out.doneAt > now) {
+            earliest = std::min(earliest, out.doneAt);
             continue;
+        }
         out.busy = false;
         --busyOutputs_;
+        --shared_->busyLinks;
         if (port == PortLocal) {
             CONSIM_ASSERT(eject_, "no ejector on router ", tile_);
-            eject_(out.pkt.msg, out.pkt.lenFlits);
+            const RouterPacket &pkt = pool_[out.pkt];
+            eject_(pkt.msg, pkt.lenFlits);
+            pool_.release(out.pkt);
         } else {
             Router *next = neighbor_[port];
             CONSIM_ASSERT(next, "transmit into mesh edge at ", tile_);
-            next->arrive(oppositePort(port), out.dstVc,
-                         std::move(out.pkt), now);
+            next->arrive(oppositePort(port), out.dstVc, out.pkt, now);
         }
     }
+    nextDone_ = earliest;
 }
 
 void
 Router::tickAllocateSlow(Cycle now)
 {
     bool inPortUsed[NumPorts] = {};
+    bool granted = false;
     // With QoS active the protected VM's packets get first claim on
     // the switch, except on a deterministic yield cycle (every
     // fourth) that degrades to plain round-robin so unprotected
     // traffic cannot starve behind a saturating protected stream.
     if (qosReservedVcs_ > 0 && (now & 3) != 3)
-        allocatePass(now, inPortUsed, /*protected_only=*/true);
-    allocatePass(now, inPortUsed, /*protected_only=*/false);
+        granted = allocatePass(now, inPortUsed, /*protected_only=*/true);
+    granted |= allocatePass(now, inPortUsed, /*protected_only=*/false);
+    // Only a grant changes a VC head, so only a grant can move the
+    // wake cycle.
+    if (granted)
+        wakeAt_ = headWake();
 }
 
-void
+bool
 Router::allocatePass(Cycle now, bool inPortUsed[NumPorts],
                      bool protected_only)
 {
+    bool granted = false;
     const int total = NumPorts * params_.totalVcs();
     // Round-robin over input VCs for fairness; one grant per input
     // port and one per output port per cycle (shared across passes).
@@ -151,7 +180,9 @@ Router::allocatePass(Cycle now, bool inPortUsed[NumPorts],
     // is unchanged.
     int k = 0;
     while (k < total && occ_ != 0) {
-        const int start = (rrInput_ + k) % total;
+        // rrInput_ and k are both below total.
+        const int start = rrInput_ + k < total ? rrInput_ + k
+                                               : rrInput_ + k - total;
         int idx;
         if (const std::uint64_t ge = occ_ >> start; ge != 0) {
             const int d = lowestSetBit(ge);
@@ -166,12 +197,12 @@ Router::allocatePass(Cycle now, bool inPortUsed[NumPorts],
         if (k >= total)
             break;
         const int port = idx / params_.totalVcs();
-        const int vc = idx % params_.totalVcs();
-        auto &ivc = in(port, vc);
+        auto &ivc = inputs_[idx];
         ++k;
         if (inPortUsed[port])
             continue;
-        RouterPacket &pkt = ivc.q.front();
+        const PacketId id = ivc.q.front();
+        const RouterPacket &pkt = pool_[id];
         if (protected_only && pkt.msg.vm != qosProtectedVm_)
             continue;
         if (pkt.readyCycle > now)
@@ -200,27 +231,60 @@ Router::allocatePass(Cycle now, bool inPortUsed[NumPorts],
         // latency, free this VC's buffer space, advance fairness.
         out.busy = true;
         ++busyOutputs_;
-        out.remaining = pkt.lenFlits;
+        ++shared_->busyLinks;
+        out.doneAt = now + pkt.lenFlits;
+        nextDone_ = std::min(nextDone_, out.doneAt);
         out.dstVc = downVc;
-        out.pkt = std::move(pkt);
+        out.pkt = id;
         ivc.q.pop_front();
         if (ivc.q.empty())
             occ_ &= ~(std::uint64_t(1) << idx);
         --buffered_;
-        ivc.freeFlits += out.pkt.lenFlits;
+        ivc.freeFlits += pkt.lenFlits;
         inPortUsed[port] = true;
         rrInput_ = idx + 1 == total ? 0 : idx + 1;
+        granted = true;
     }
+    return granted;
+}
+
+Cycle
+Router::headWake() const
+{
+    Cycle wake = cycleNever;
+    for (std::uint64_t bits = occ_; bits != 0; bits &= bits - 1)
+        wake = std::min(
+            wake, pool_[inputs_[lowestSetBit(bits)].q.front()]
+                      .readyCycle);
+    return wake;
+}
+
+Cycle
+Router::outputsDone() const
+{
+    Cycle done = cycleNever;
+    for (const auto &out : outputs_) {
+        if (out.busy)
+            done = std::min(done, out.doneAt);
+    }
+    return done;
 }
 
 void
-Router::rebuildOccupancy()
+Router::rebuildActivity()
 {
     occ_ = 0;
+    buffered_ = 0;
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         if (!inputs_[i].q.empty())
             occ_ |= std::uint64_t(1) << i;
+        buffered_ += static_cast<int>(inputs_[i].q.size());
     }
+    busyOutputs_ = 0;
+    for (const auto &out : outputs_)
+        busyOutputs_ += out.busy ? 1 : 0;
+    wakeAt_ = headWake();
+    nextDone_ = outputsDone();
 }
 
 bool
@@ -249,7 +313,7 @@ Router::forEachTransit(
         // Non-null: asserted when the grant was issued.
         const Router *next = neighbor_[port];
         fn(next->tile_, oppositePort(port), out.dstVc,
-           out.pkt.lenFlits);
+           pool_[out.pkt].lenFlits);
     }
 }
 
@@ -262,7 +326,8 @@ Router::checkInvariants(
         for (int vc = 0; vc < params_.totalVcs(); ++vc) {
             const auto &ivc = in(port, vc);
             int queuedFlits = 0;
-            for (const auto &pkt : ivc.q) {
+            for (const PacketId id : ivc.q) {
+                const RouterPacket &pkt = pool_[id];
                 if (pkt.lenFlits < 1 ||
                     pkt.lenFlits > params_.vcBufferFlits) {
                     CONSIM_CHECK_FAIL("router ", tile_,
@@ -304,20 +369,19 @@ Router::checkInvariants(
                           buffered_, " recount=", buffered, ")");
     }
     int busy = 0;
-    for (const auto &out : outputs_) {
-        if (out.busy) {
-            ++busy;
-            if (out.remaining < 1) {
-                CONSIM_CHECK_FAIL("router ", tile_,
-                                  ": busy output with ",
-                                  out.remaining, " flits remaining");
-            }
-        }
-    }
+    for (const auto &out : outputs_)
+        busy += out.busy ? 1 : 0;
     if (busy != busyOutputs_) {
         CONSIM_CHECK_FAIL("router ", tile_,
                           ": busy output count drifted (cached=",
                           busyOutputs_, " recount=", busy, ")");
+    }
+    if (wakeAt_ != headWake() || nextDone_ != outputsDone()) {
+        CONSIM_CHECK_FAIL("router ", tile_,
+                          ": wake cycle drifted (cached wake=",
+                          wakeAt_, " done=", nextDone_,
+                          ", recount wake=", headWake(), " done=",
+                          outputsDone(), ")");
     }
 }
 
@@ -344,7 +408,7 @@ Router::creditJson() const
             e.set("free_flits", ivc.freeFlits);
             e.set("queued", static_cast<int>(ivc.q.size()));
             if (!ivc.q.empty())
-                e.set("head", describe(ivc.q.front().msg));
+                e.set("head", describe(pool_[ivc.q.front()].msg));
             vcs.push(std::move(e));
         }
     }

@@ -13,56 +13,24 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <memory>
-#include <vector>
 
 #include "common/alloc_hook.hh"
 #include "core/experiment.hh"
 #include "core/mix.hh"
-#include "core/scheduler.hh"
 #include "core/system.hh"
-#include "core/vm.hh"
+#include "noc/mesh.hh"
 
 using namespace consim;
 
 namespace
 {
 
-/** VM storage + placements for @p cfg (runExperiment's rig, inlined
- *  here because the experiment driver doesn't expose phases). */
-struct Rig
-{
-    std::vector<std::unique_ptr<VirtualMachine>> storage;
-    std::vector<VirtualMachine *> vms;
-    std::vector<ThreadPlacement> placements;
-};
-
-Rig
-buildRig(const RunConfig &cfg)
-{
-    Rig rig;
-    std::vector<int> threads_per_vm;
-    for (std::size_t i = 0; i < cfg.workloads.size(); ++i) {
-        const auto &prof = WorkloadProfile::get(cfg.workloads[i]);
-        const int nthreads =
-            i < cfg.vmThreads.size() ? cfg.vmThreads[i] : 0;
-        rig.storage.push_back(std::make_unique<VirtualMachine>(
-            prof, static_cast<VmId>(i),
-            cfg.seed * 1000003ull + i * 7919ull, nthreads));
-        rig.vms.push_back(rig.storage.back().get());
-        threads_per_vm.push_back(rig.storage.back()->numThreads());
-    }
-    rig.placements = scheduleThreads(cfg.machine, threads_per_vm,
-                                     cfg.policy, cfg.seed);
-    return rig;
-}
-
 /** Warm @p cfg up, then require an allocation-free measure window. */
 void
 expectZeroAllocWindow(const RunConfig &cfg, Cycle warmup,
                       Cycle window)
 {
-    Rig rig = buildRig(cfg);
+    ExperimentRig rig = buildExperimentRig(cfg);
     System sys(cfg.machine, rig.vms, rig.placements);
     // Warmup sizes every pool to its steady state: BlockMap tables,
     // WaitQueueMap node pools, router/NI rings, calendar lanes,
@@ -127,4 +95,52 @@ TEST(AllocSteadyState, OverCommittedWindowIsAllocationFree)
                               SharingDegree::Shared4);
     cfg.vmThreads = {8, 8, 8, 8};
     expectZeroAllocWindow(cfg, 60'000, 30'000);
+}
+
+TEST(AllocSteadyState, SaturatedHotspotMeshIsAllocationFree)
+{
+    // Every tile of a 16x16 mesh streams data packets to one tile,
+    // keeping eight in flight each: the hotspot's ejection port
+    // saturates and back-pressure fills the VCs on every path into
+    // it. The packet pool is bounded by the credits (it asserts if
+    // it ever outgrows them), so once the NI rings have grown the
+    // window must not allocate.
+    MachineConfig cfg;
+    cfg.meshX = 16;
+    cfg.meshY = 16;
+    Mesh mesh(cfg);
+    const CoreId hot = 7 * 16 + 8;
+    Cycle now = 0;
+    BlockAddr tag = 0;
+    const auto send = [&](CoreId src) {
+        Msg m;
+        m.type = MsgType::Data;
+        m.srcTile = src;
+        m.dstTile = hot;
+        m.block = tag++;
+        m.injectCycle = now;
+        mesh.inject(m);
+    };
+    std::uint64_t delivered = 0;
+    mesh.setDeliver([&](const Msg &m) {
+        ++delivered;
+        send(m.srcTile);
+    });
+    for (CoreId t = 0; t < cfg.numCores(); ++t) {
+        for (int k = 0; t != hot && k < 8; ++k)
+            send(t);
+    }
+    for (; now < 20'000; ++now)
+        mesh.tick(now);
+    const std::uint64_t warm = delivered;
+    const std::uint64_t before = allocCount();
+    for (; now < 40'000; ++now)
+        mesh.tick(now);
+    const std::uint64_t delta = allocCount() - before;
+    EXPECT_EQ(delta, 0u) << delta
+                         << " heap allocations in a saturated mesh";
+    // One 5-flit packet leaves through the hotspot every 5 cycles.
+    EXPECT_GE(delivered - warm, 20'000u / 5 - 1);
+    EXPECT_FALSE(mesh.idle());
+    mesh.checkConservation();
 }

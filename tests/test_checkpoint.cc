@@ -395,12 +395,7 @@ TEST(EnvDefaults, WellFormedValuesApply)
         EXPECT_EQ(defaultWarmupCycles(), 123456u);
     }
     {
-        // Explicit 0 means "use the built-in default" for windows...
-        ScopedEnv e("CONSIM_MEASURE", "0");
-        EXPECT_EQ(defaultMeasureCycles(), 3'000'000u);
-    }
-    {
-        // ...but is meaningful (disable) for the watchdog.
+        // Explicit 0 is meaningful (disable) for the watchdog.
         ScopedEnv e("CONSIM_WATCHDOG", "0");
         EXPECT_EQ(defaultWatchdogIntervalCycles(), 0u);
     }
@@ -433,5 +428,22 @@ TEST(EnvDefaultsDeathTest, MalformedValuesAreFatal)
         ScopedEnv e("CONSIM_CKPT", "1e6");
         EXPECT_EXIT(defaultCheckpointIntervalCycles(),
                     ::testing::ExitedWithCode(1), "CONSIM_CKPT");
+    }
+}
+
+TEST(EnvDefaultsDeathTest, ZeroWindowsAreFatal)
+{
+    // An empty window is never what the user meant, and silently
+    // running the 4M/3M default instead would hide the typo.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    {
+        ScopedEnv e("CONSIM_WARMUP", "0");
+        EXPECT_EXIT(defaultWarmupCycles(),
+                    ::testing::ExitedWithCode(1), "CONSIM_WARMUP=0");
+    }
+    {
+        ScopedEnv e("CONSIM_MEASURE", "0");
+        EXPECT_EXIT(defaultMeasureCycles(),
+                    ::testing::ExitedWithCode(1), "CONSIM_MEASURE=0");
     }
 }

@@ -57,10 +57,35 @@ expectParallelByteIdentity(const RunConfig &cfg, int jobs)
     EXPECT_EQ(par_doc, serial_doc) << "run-jobs " << jobs;
 }
 
-/** Deadline-trip + resume must reproduce the uninterrupted run. */
+/** Packets a snapshot's mesh holds: buffered in router input VCs
+ *  and on busy router outputs. */
+struct MeshInFlight
+{
+    int buffered = 0;
+    int busyOutputs = 0;
+};
+
+MeshInFlight
+meshInFlight(const json::Value &ckpt)
+{
+    MeshInFlight n;
+    const json::Value *net = ckpt.find("machine")->find("net");
+    for (const json::Value &r : net->find("routers")->items()) {
+        for (const json::Value &vc : r.find("inputs")->items())
+            n.buffered += static_cast<int>(vc.find("q")->size());
+        for (const json::Value &out : r.find("outputs")->items())
+            n.busyOutputs += out.find("busy")->boolean() ? 1 : 0;
+    }
+    return n;
+}
+
+/** Deadline-trip + resume must reproduce the uninterrupted run. When
+ *  @p mid_flight is set, the snapshot must also catch the mesh with
+ *  packets buffered and outputs busy, so restore rebuilds the
+ *  routers' wake cycles, completion cycles and active sets. */
 void
 expectResumeByteIdentity(const RunConfig &cfg, Cycle deadline,
-                         Cycle every)
+                         Cycle every, bool mid_flight = false)
 {
     const std::string full_doc =
         runResultJson(cfg, runExperiment(cfg)).dump(2);
@@ -76,6 +101,11 @@ expectResumeByteIdentity(const RunConfig &cfg, Cycle deadline,
         json::Value doc;
         std::string err;
         ASSERT_TRUE(json::parse(e.ckpt(), doc, &err)) << err;
+        if (mid_flight) {
+            const MeshInFlight n = meshInFlight(doc);
+            EXPECT_GE(n.buffered, 1) << "no buffered router packet";
+            EXPECT_GE(n.busyOutputs, 1) << "no busy router output";
+        }
         const RunResult resumed = resumeExperiment(doc);
         EXPECT_EQ(runResultJson(cfg, resumed).dump(2), full_doc);
     }
@@ -100,11 +130,13 @@ TEST(Scale256, CheckpointRoundTripsAt256CoresPrivateSharing)
     // 256 private groups: every directory GroupSet and presence
     // CoreSet spills to four heap words, so the snapshot codec's
     // word-array paths (save, load, trailing-zero canonicalisation)
-    // all run. Resume must be byte-identical.
+    // all run. The snapshot lands with packets mid-flight in the
+    // mesh, so restore rebuilds router activity. Resume must be
+    // byte-identical.
     RunConfig cfg = scaleConfig(16, 16, SharingDegree::Private,
                                 SchedPolicy::RoundRobin);
     cfg.vmThreads = {64, 64, 64, 64};
-    expectResumeByteIdentity(cfg, 14'000, 5'000);
+    expectResumeByteIdentity(cfg, 14'000, 5'000, /*mid_flight=*/true);
 }
 
 TEST(Scale256, OverCommittedScheduleMakesProgressForEveryVm)

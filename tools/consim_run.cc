@@ -140,6 +140,19 @@ parseCount(const std::string &opt, const std::string &s)
     return v;
 }
 
+/** parseCount for window lengths: 0 would mean the library default,
+ *  so an explicit 0 exits 2 instead of running 4M/3M cycles. */
+Cycle
+parseWindow(const std::string &opt, const std::string &s)
+{
+    const std::uint64_t v = parseCount(opt, s);
+    if (v == 0)
+        usage((opt + " must be a positive cycle count (omit it for "
+                     "the default)")
+                  .c_str());
+    return v;
+}
+
 void
 writeJsonDoc(const std::string &path, const json::Value &doc)
 {
@@ -365,9 +378,9 @@ main(int argc, char **argv)
             cfg.machine.memIssueInterval =
                 static_cast<int>(parseCount(a, next_arg(i)));
         } else if (a == "--warmup") {
-            cfg.warmupCycles = parseCount(a, next_arg(i));
+            cfg.warmupCycles = parseWindow(a, next_arg(i));
         } else if (a == "--measure") {
-            cfg.measureCycles = parseCount(a, next_arg(i));
+            cfg.measureCycles = parseWindow(a, next_arg(i));
         } else if (a == "--seed") {
             cfg.seed = parseCount(a, next_arg(i));
         } else if (a == "--seeds") {
