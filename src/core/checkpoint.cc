@@ -789,10 +789,12 @@ struct CkptAccess
     saveRouter(const Router &r, Cycle last_tick)
     {
         Value ins = Value::array();
-        for (const Router::InputVc &ivc : r.inputs_) {
+        for (std::size_t i = 0; i < r.inputs_.size(); ++i) {
+            const Router::InputVc &ivc = r.inputs_[i];
             Value q = Value::array();
-            for (const PacketId id : ivc.q)
-                q.push(savePacket(r.pool_[id]));
+            for (int k = 0; k < ivc.count; ++k)
+                q.push(savePacket(
+                    r.pool_[r.vcAt(static_cast<int>(i), k)]));
             Value e = Value::object();
             e.set("free", ivc.freeFlits);
             e.set("q", std::move(q));
@@ -830,9 +832,10 @@ struct CkptAccess
             Router::InputVc &ivc = r.inputs_[i];
             const Value &e = ins.at(i);
             ivc.freeFlits = static_cast<int>(asInt(get(e, "free")));
-            ivc.q.clear();
+            ivc.head = 0;
+            ivc.count = 0;
             for (const Value &p : get(e, "q").items())
-                ivc.q.push_back(loadPacket(r.pool_, p));
+                r.vcPush(static_cast<int>(i), loadPacket(r.pool_, p));
         }
         const Value &outs = get(v, "outputs");
         CONSIM_ASSERT(outs.size() == NumPorts,
@@ -942,7 +945,7 @@ struct CkptAccess
                 }
                 ni.recountQueued();
             }
-            mesh->rebuildActivity();
+            mesh->rebuildActivity(s.now_);
         } else {
             auto *ideal = dynamic_cast<IdealNetwork *>(&n);
             CONSIM_ASSERT(ideal != nullptr && kind == "ideal",
@@ -1300,6 +1303,9 @@ System::restoreCheckpoint(const json::Value &doc)
                   "original configuration to take a fresh snapshot)");
     CkptAccess::loadMachine(*this, get(doc, "machine"));
     CkptAccess::loadVms(*this, get(doc, "vms"));
+    // Core wake cycles are derived state: the restored cores poll on
+    // their first tick and write exact ones from there.
+    std::fill(coreWake_.begin(), coreWake_.end(), 0);
     // Operational knobs (watchdog, deadline, periodic snapshotting)
     // are deliberately not part of the document: callers re-arm them
     // after restore, and setWatchdogInterval re-baselines its

@@ -99,9 +99,12 @@ System::System(const MachineConfig &cfg,
             events_.insertAbs(now_, due, std::move(ev));
     });
 
+    // Sized once: every core keeps a reference to its slot.
+    coreWake_.assign(static_cast<std::size_t>(n), 0);
     for (CoreId t = 0; t < n; ++t) {
         l1s_.push_back(std::make_unique<L1Controller>(*this, t));
-        cores_.push_back(std::make_unique<Core>(*this, t, *l1s_[t]));
+        cores_.push_back(std::make_unique<Core>(*this, t, *l1s_[t],
+                                                coreWake_[t]));
         banks_.push_back(std::make_unique<L2Bank>(*this, t));
         dirs_.push_back(
             std::make_unique<DirectorySlice>(*this, t, windows_));
@@ -714,8 +717,10 @@ void
 System::tick()
 {
     events_.runDue(now_, [this](SimEvent &ev) { execEvent(ev); });
-    for (auto &c : cores_)
-        c->tick();
+    for (std::size_t i = 0; i < coreWake_.size(); ++i) {
+        if (now_ >= coreWake_[i])
+            cores_[i]->tick();
+    }
     if (!netBypass_) {
         netTickCycle_ = now_;
         net_->tick(now_);
@@ -897,11 +902,14 @@ System::laneRunWindow(TileLane &lane)
 {
     tlsLane_ = &lane;
     Core &core = *cores_[lane.tile];
+    // The lane's own wake slot: lanes never share one.
+    const Cycle &wake = coreWake_[static_cast<std::size_t>(lane.tile)];
     const Cycle end = windowStart_ + windowLen_;
     for (Cycle c = windowStart_; c < end; ++c) {
         lane.now = c;
         lane.q.runDue(c, [this](SimEvent &ev) { execEvent(ev); });
-        core.tick();
+        if (c >= wake)
+            core.tick();
     }
     tlsLane_ = nullptr;
 }
@@ -1198,32 +1206,36 @@ System::replicationSnapshot() const
     snap.validPerVm.assign(vms_.size(), 0);
     snap.replicatedPerVm.assign(vms_.size(), 0);
 
-    // Count partition-level copies per block. Each group's partition
-    // holds at most one copy of a block, so counting valid lines per
-    // block across banks counts partitions.
-    std::unordered_map<BlockAddr, std::uint32_t> copies;
+    // Count partition-level copies per block by sorting the valid
+    // lines' blocks: each group's partition holds at most one copy
+    // of a block, so a run of equal blocks counts partitions. One
+    // allocation, sized for a full L2.
+    std::vector<BlockAddr> blocks;
+    blocks.reserve(cfg_.l2TotalBytes / blockBytes);
     for (const auto &b : banks_) {
         b->forEachLine([&](BlockAddr block, const L2CacheLine &line) {
-            if (!line.valid)
-                return;
-            ++copies[block];
+            if (line.valid)
+                blocks.push_back(block);
         });
     }
-    snap.distinctBlocks = copies.size();
-    for (const auto &b : banks_) {
-        b->forEachLine([&](BlockAddr block, const L2CacheLine &line) {
-            if (!line.valid)
-                return;
-            ++snap.validLines;
-            const VmId vm = vmOfBlock(block);
-            if (vm >= 0 && vm < static_cast<VmId>(vms_.size()))
-                ++snap.validPerVm[vm];
-            if (copies[block] > 1) {
-                ++snap.replicatedLines;
-                if (vm >= 0 && vm < static_cast<VmId>(vms_.size()))
-                    ++snap.replicatedPerVm[vm];
-            }
-        });
+    std::sort(blocks.begin(), blocks.end());
+    for (std::size_t i = 0; i < blocks.size();) {
+        std::size_t j = i + 1;
+        while (j < blocks.size() && blocks[j] == blocks[i])
+            ++j;
+        const std::uint64_t copies = j - i;
+        ++snap.distinctBlocks;
+        snap.validLines += copies;
+        const VmId vm = vmOfBlock(blocks[i]);
+        const bool known = vm >= 0 && vm < static_cast<VmId>(vms_.size());
+        if (known)
+            snap.validPerVm[vm] += copies;
+        if (copies > 1) {
+            snap.replicatedLines += copies;
+            if (known)
+                snap.replicatedPerVm[vm] += copies;
+        }
+        i = j;
     }
     return snap;
 }
@@ -1262,6 +1274,17 @@ System::checkInvariants() const
         l1->checkInvariants();
     for (const auto &b : banks_)
         b->checkInvariants();
+    // A wake slot may be early (the tick is a no-op), never late: a
+    // late one would skip work the core has due.
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        const Cycle due = std::max(cores_[i]->nextWork(), now_);
+        if (coreWake_[i] > due) {
+            CONSIM_CHECK_FAIL("core ", i, " wakes at ", coreWake_[i],
+                              " but has work due at ",
+                              cores_[i]->nextWork(), " (now ", now_,
+                              ")");
+        }
+    }
 }
 
 void

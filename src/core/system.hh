@@ -196,11 +196,19 @@ class System : public Fabric
     int numVms() const { return static_cast<int>(vms_.size()); }
     VirtualMachine &vm(VmId v) { return *vms_.at(v); }
 
+    /**
+     * Core @p t's wake cycle: tick() skips the core before it (see
+     * Core). Tests write it to prove checkInvariants() catches a
+     * late one.
+     */
+    Cycle &coreWake(CoreId t) { return coreWake_.at(t); }
+
     /** Walk every L2 line on chip (snapshot building). */
     ReplicationSnapshot replicationSnapshot() const;
     OccupancySnapshot occupancySnapshot() const;
 
-    /** Run protocol invariant checks over all components. */
+    /** Run protocol invariant checks over all components, and check
+     *  that no core's wake cycle is later than its next work. */
     void checkInvariants() const;
 
     /**
@@ -522,6 +530,10 @@ class System : public Fabric
     std::unique_ptr<Network> net_;
     std::vector<std::unique_ptr<L1Controller>> l1s_;
     std::vector<std::unique_ptr<Core>> cores_;
+    /** Per core: the first cycle tick() runs it (Core::nextWork or
+     *  earlier; derived, never serialized). Each core writes only
+     *  its own slot, so tile lanes never share one. */
+    std::vector<Cycle> coreWake_;
     std::vector<std::unique_ptr<L2Bank>> banks_;
     std::vector<std::unique_ptr<DirectorySlice>> dirs_;
     std::vector<std::unique_ptr<MemoryController>> mcs_; ///< by index

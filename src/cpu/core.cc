@@ -5,9 +5,10 @@
 namespace consim
 {
 
-Core::Core(Fabric &fabric, CoreId tile, L1Controller &l1)
-    : fab_(fabric), tile_(tile), l1_(l1)
+Core::Core(Fabric &fabric, CoreId tile, L1Controller &l1, Cycle &wake)
+    : fab_(fabric), tile_(tile), l1_(l1), wake_(wake)
 {
+    wake_ = nextWork();
     l1_.setMissCallback([this] { missComplete(); });
     stats_.registerIn(statsGroup_);
 }
@@ -20,6 +21,7 @@ Core::bindThread(InstrStream *stream, VmId vm)
     vm_ = stream ? vm : invalidVm;
     haveSlice_ = false;
     busyUntil_ = 0;
+    wake_ = nextWork();
 }
 
 void
@@ -39,6 +41,7 @@ Core::scheduleRebind(InstrStream *stream, VmId vm)
     rebindPending_ = true;
     rebindStream_ = stream;
     rebindVm_ = vm;
+    wake_ = nextWork();
 }
 
 void
@@ -64,7 +67,7 @@ Core::rotateContext(Cycle now)
 }
 
 void
-Core::tick()
+Core::step()
 {
     // A deferred migration lands at the first clean instruction
     // boundary: never mid-miss (the fill retires against the old
@@ -134,6 +137,7 @@ Core::missComplete()
         fab_.recordTransaction(vm_);
     }
     haveSlice_ = false;
+    wake_ = nextWork();
 }
 
 } // namespace consim

@@ -4,6 +4,19 @@
  * in-order cores mimicking Niagara). Non-memory instructions retire
  * at 1 IPC; memory references access the private hierarchy through
  * the L1 controller and stall the core until the fill returns.
+ *
+ * Wake-indexed ticking: the System keeps one wake cycle per core in
+ * a dense array and calls tick() only from that cycle on. A core
+ * writes its wake cycle at the end of every tick: cycleNever while
+ * it is unbound (with no rebind pending), blocked on a miss or
+ * wedged, otherwise busyUntil_, the first cycle its tick can do
+ * anything (a compute burst ends, a hit's latency elapses, a
+ * deferred rebind or timeslice rotation may land). Every path that
+ * changes those inputs from outside a tick (missComplete,
+ * bindThread/enqueueContext, scheduleRebind, wedge) rewrites it,
+ * and checkpoint restore resets it to "poll now" (0). Between wake
+ * cycles tick() would return without touching any state, so
+ * skipping those calls changes nothing the core simulates.
  */
 
 #ifndef CONSIM_CPU_CORE_HH
@@ -54,7 +67,8 @@ class Core
     /** Default preemption quantum for over-committed cores. */
     static constexpr Cycle kDefaultTimesliceCycles = 10'000;
 
-    Core(Fabric &fabric, CoreId tile, L1Controller &l1);
+    /** @param wake this core's slot in the System's wake array. */
+    Core(Fabric &fabric, CoreId tile, L1Controller &l1, Cycle &wake);
 
     /**
      * Bind a thread to this core (static binding, as in the paper).
@@ -100,8 +114,27 @@ class Core
         return static_cast<int>(contexts_.size());
     }
 
-    /** Advance one cycle. */
-    void tick();
+    /** Advance one cycle, then write the wake cycle. */
+    void
+    tick()
+    {
+        step();
+        wake_ = nextWork();
+    }
+
+    /**
+     * @return the first cycle at which tick() can do work:
+     * cycleNever while unbound with no rebind pending, blocked or
+     * wedged; otherwise busyUntil_ (work is due now when it has
+     * passed). The wake slot may be earlier, never later.
+     */
+    Cycle
+    nextWork() const
+    {
+        if (blocked_ || wedged_ || (stream_ == nullptr && !rebindPending_))
+            return cycleNever;
+        return busyUntil_;
+    }
 
     /** @return true when no thread is bound. */
     bool idle() const { return stream_ == nullptr; }
@@ -114,7 +147,12 @@ class Core
      * context). The core reports blocked() from here on, so the
      * watchdog's per-core progress audit flags it.
      */
-    void wedge() { wedged_ = true; }
+    void
+    wedge()
+    {
+        wedged_ = true;
+        wake_ = nextWork();
+    }
 
     /** @return true when the core was wedged by fault injection. */
     bool wedged() const { return wedged_; }
@@ -140,6 +178,8 @@ class Core
      *  the in-flight slice and blocked state). */
     friend struct CkptAccess;
 
+    /** The body of tick(): one cycle of work, if any is due. */
+    void step();
     void missComplete();
     void rotateContext(Cycle now);
     void installRebind();
@@ -154,6 +194,7 @@ class Core
     Fabric &fab_;
     CoreId tile_;
     L1Controller &l1_;
+    Cycle &wake_; ///< slot in the System's wake array
     InstrStream *stream_ = nullptr;
     VmId vm_ = invalidVm;
 

@@ -25,6 +25,21 @@ forEachTile(const std::vector<std::uint64_t> &words, Fn &&fn)
     }
 }
 
+/** Call @p fn(tile) for each tile filed in wheel slot @p slot,
+ *  ascending, clearing the slot as it goes. Work done in the walk
+ *  never files a tile in the slot being walked. */
+template <typename Fn>
+void
+drainSlot(std::uint64_t *slot, std::size_t words, Fn &&fn)
+{
+    for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t bits = slot[w];
+        slot[w] = 0;
+        for (; bits != 0; bits &= bits - 1)
+            fn(static_cast<CoreId>(w * 64 + lowestSetBit(bits)));
+    }
+}
+
 void
 setBit(std::vector<std::uint64_t> &words, CoreId t)
 {
@@ -43,29 +58,28 @@ testBit(const std::vector<std::uint64_t> &words, CoreId t)
     return (words[t >> 6] >> (t & 63)) & 1;
 }
 
+NocParams
+nocParamsOf(const MachineConfig &cfg)
+{
+    NocParams p;
+    p.meshX = cfg.meshX;
+    p.meshY = cfg.meshY;
+    p.numVnets = cfg.numVnets;
+    p.vcsPerVnet = cfg.vcsPerVnet;
+    // One header flit plus the 64B block payload.
+    p.dataFlits = (blockBytes + cfg.flitBytes - 1) / cfg.flitBytes + 1;
+    p.ctrlFlits = 1;
+    p.vcBufferFlits = std::max(cfg.vcBufferFlits, p.dataFlits);
+    p.pipelineDelay = 2; // 3-stage pipe: RC, VA/SA, ST
+    return p;
+}
+
 } // namespace
 
 Mesh::Mesh(const MachineConfig &cfg)
+    : params_(nocParamsOf(cfg)), shared_(cfg.numCores(), params_)
 {
-    params_.meshX = cfg.meshX;
-    params_.meshY = cfg.meshY;
-    params_.numVnets = cfg.numVnets;
-    params_.vcsPerVnet = cfg.vcsPerVnet;
-    // One header flit plus the 64B block payload.
-    params_.dataFlits =
-        (blockBytes + cfg.flitBytes - 1) / cfg.flitBytes + 1;
-    params_.ctrlFlits = 1;
-    params_.vcBufferFlits =
-        std::max(cfg.vcBufferFlits, params_.dataFlits);
-    params_.pipelineDelay = 2; // 3-stage pipe: RC, VA/SA, ST
-
     const int n = cfg.numCores();
-    // Every live packet sits in an input VC (at most vcBufferFlits
-    // one-flit packets each) or on an output port.
-    shared_.pool.reserve(static_cast<std::size_t>(n) * NumPorts *
-                         (params_.totalVcs() * params_.vcBufferFlits +
-                          1));
-    shared_.activeRouters.assign((n + 63) / 64, 0);
     niActive_.assign((n + 63) / 64, 0);
     routers_.reserve(n);
     nis_.reserve(n);
@@ -112,10 +126,14 @@ Mesh::tick(Cycle now)
     stats_.linkBusyCycles +=
         static_cast<std::uint64_t>(shared_.busyLinks);
     // Phase 1: finish transmissions (arrivals land, ejections fire).
-    // A router that an arrival activates during this walk has no
-    // busy output yet, so it has nothing to do here.
-    forEachTile(shared_.activeRouters,
-                [&](CoreId t) { routers_[t]->tickOutputs(now); });
+    // Only the last output completing can leave a router idle.
+    drainSlot(shared_.slot(shared_.doneWheel, now), shared_.words,
+              [&](CoreId t) {
+                  Router &r = *routers_[t];
+                  r.completeOutputs(now);
+                  if (r.idle())
+                      clearBit(shared_.activeRouters, t);
+              });
     // Phase 2: sources inject into local input VCs.
     forEachTile(niActive_, [&](CoreId t) {
         NetworkInterface &ni = *nis_[t];
@@ -123,22 +141,24 @@ Mesh::tick(Cycle now)
         if (ni.idle())
             clearBit(niActive_, t);
     });
-    // Phase 3: switch allocation; routers left idle leave the set.
-    forEachTile(shared_.activeRouters, [&](CoreId t) {
-        Router &r = *routers_[t];
-        r.tickAllocate(now);
-        if (r.idle())
-            clearBit(shared_.activeRouters, t);
-    });
+    // Phase 3: switch allocation at the routers with a head that can
+    // win the switch now.
+    drainSlot(shared_.slot(shared_.readyWheel, now), shared_.words,
+              [&](CoreId t) { routers_[t]->allocate(now); });
 }
 
 void
-Mesh::rebuildActivity()
+Mesh::rebuildActivity(Cycle resume)
 {
     std::fill(shared_.activeRouters.begin(),
               shared_.activeRouters.end(), 0);
     std::fill(niActive_.begin(), niActive_.end(), 0);
+    std::fill(shared_.doneWheel.begin(), shared_.doneWheel.end(), 0);
+    std::fill(shared_.readyWheel.begin(), shared_.readyWheel.end(), 0);
     shared_.busyLinks = 0;
+    // The next tick runs at the resume cycle (wraps to 0 when that is
+    // cycle 0, which is what lastTick_ + 1 then reads).
+    lastTick_ = resume - 1;
     for (std::size_t t = 0; t < routers_.size(); ++t) {
         const auto tile = static_cast<CoreId>(t);
         shared_.busyLinks += routers_[t]->transitPackets();
@@ -146,6 +166,7 @@ Mesh::rebuildActivity()
             setBit(shared_.activeRouters, tile);
         if (!nis_[t]->idle())
             setBit(niActive_, tile);
+        routers_[t]->markWheels(resume);
     }
 }
 
@@ -217,6 +238,25 @@ Mesh::checkConservation() const
                               t, " (router idle=",
                               routers_[t]->idle(), ", NI idle=",
                               nis_[t]->idle(), ")");
+        }
+    }
+    // Every pending wake or completion is filed where the tick that
+    // is due to act on it will look. A wake already past is retried
+    // at the next tick.
+    const Cycle next = lastTick_ + 1;
+    for (std::size_t t = 0; t < routers_.size(); ++t) {
+        const Cycle wake = shared_.wakeAt[t];
+        const Cycle done = shared_.doneAt[t];
+        const auto filed = [&](const std::vector<std::uint64_t> &wheel,
+                               Cycle c) {
+            return (shared_.slot(wheel, c)[t >> 6] >> (t & 63)) & 1;
+        };
+        if ((wake != cycleNever &&
+             !filed(shared_.readyWheel, std::max(wake, next))) ||
+            (done != cycleNever && !filed(shared_.doneWheel, done))) {
+            CONSIM_CHECK_FAIL("router ", t, " missing from its mesh "
+                              "wheel slot (wake=", wake, " done=",
+                              done, " next tick=", next, ")");
         }
     }
     if (shared_.busyLinks != transit ||

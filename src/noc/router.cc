@@ -1,12 +1,63 @@
 #include "noc/router.hh"
 
 #include <algorithm>
+#include <bit>
 
+#include "common/bitops.hh"
 #include "common/check.hh"
 #include "common/logging.hh"
 
 namespace consim
 {
+
+MeshShared::MeshShared(int tiles, const NocParams &params)
+{
+    const auto n = static_cast<std::size_t>(tiles);
+    words = (n + 63) / 64;
+    activeRouters.assign(words, 0);
+    wakeAt.assign(n, cycleNever);
+    doneAt.assign(n, cycleNever);
+    // Marks reach at most pipelineDelay (an arrival's readyCycle) or
+    // dataFlits (a grant's doneAt) cycles past the ticking cycle.
+    const auto reach = static_cast<std::uint64_t>(
+        std::max(params.pipelineDelay, params.dataFlits));
+    const std::uint64_t slots = std::bit_ceil(reach + 1);
+    wheelMask = slots - 1;
+    doneWheel.assign(slots * words, 0);
+    readyWheel.assign(slots * words, 0);
+    // A VC holds at most vcBufferFlits packets (1 flit minimum); the
+    // 1-byte head and count bound the ring at 256 handles.
+    CONSIM_ASSERT(params.vcBufferFlits >= 1 &&
+                      params.vcBufferFlits <= 255,
+                  "VC buffer of ", params.vcBufferFlits,
+                  " flits is outside 1..255");
+    vcSlotShift = ceilLog2(static_cast<std::uint64_t>(
+        params.vcBufferFlits));
+    vcSlots.assign((n * NumPorts * params.totalVcs())
+                       << vcSlotShift,
+                   0);
+    CONSIM_ASSERT(NumPorts * params.totalVcs() <= 64,
+                  "switch allocator tracks input-VC occupancy in one "
+                  "64-bit word; ", NumPorts * params.totalVcs(),
+                  " input VCs exceed it");
+    for (int idx = 0; idx < NumPorts * params.totalVcs(); ++idx) {
+        inputPort[idx] =
+            static_cast<std::uint8_t>(idx / params.totalVcs());
+        inputVnet[idx] = static_cast<std::uint8_t>(
+            idx % params.totalVcs() / params.vcsPerVnet);
+    }
+    tileX.resize(n);
+    tileY.resize(n);
+    for (std::size_t t = 0; t < n; ++t) {
+        tileX[t] = static_cast<std::uint16_t>(t % params.meshX);
+        tileY[t] = static_cast<std::uint16_t>(t / params.meshX);
+    }
+    // Every live packet sits in an input VC or on an output port.
+    pool.reserve(n * NumPorts *
+                 (static_cast<std::size_t>(params.totalVcs()) *
+                      params.vcBufferFlits +
+                  1));
+}
 
 Router::Router(CoreId tile, const NocParams &params, NetworkStats *stats,
                MeshShared *shared)
@@ -15,16 +66,14 @@ Router::Router(CoreId tile, const NocParams &params, NetworkStats *stats,
 {
     CONSIM_ASSERT(params_.vcBufferFlits >= params_.dataFlits,
                   "VC buffer must hold a full data packet");
-    CONSIM_ASSERT(NumPorts * params_.totalVcs() <= 64,
-                  "switch allocator tracks input-VC occupancy in one "
-                  "64-bit word; ", NumPorts * params_.totalVcs(),
-                  " input VCs exceed it");
-    for (auto &vc : inputs_) {
+    const std::size_t first =
+        static_cast<std::size_t>(tile) * inputs_.size()
+        << shared->vcSlotShift;
+    CONSIM_ASSERT(first < shared->vcSlots.size(), "router ", tile,
+                  " outside its mesh's VC slab");
+    slots_ = shared->vcSlots.data() + first;
+    for (auto &vc : inputs_)
         vc.freeFlits = params_.vcBufferFlits;
-        // A VC holds at most vcBufferFlits packets (1 flit minimum),
-        // so a warmed ring never grows mid-run.
-        vc.q.reserve(static_cast<std::size_t>(params_.vcBufferFlits));
-    }
 }
 
 void
@@ -91,14 +140,22 @@ Router::arrive(int in_port, int vc, PacketId id, Cycle now)
 {
     // RC stage: compute the output port once, on arrival.
     RouterPacket &pkt = pool_[id];
-    pkt.outPort = xyRoute(tile_, pkt.msg.dstTile, params_.meshX);
+    const CoreId dst = pkt.msg.dstTile;
+    pkt.outPort = xyRouteAt(shared_->tileX[tile_], shared_->tileY[tile_],
+                            shared_->tileX[dst], shared_->tileY[dst]);
     pkt.readyCycle = now + params_.pipelineDelay;
-    in(in_port, vc).q.push_back(id);
-    occ_ |= std::uint64_t(1)
-            << (in_port * params_.totalVcs() + vc);
-    // A packet landing behind a head is ready no earlier than that
-    // head, so the minimum keeps wakeAt_ the earliest head.
-    wakeAt_ = std::min(wakeAt_, pkt.readyCycle);
+    const int idx = in_port * params_.totalVcs() + vc;
+    vcPush(idx, id);
+    occ_ |= std::uint64_t(1) << idx;
+    // A packet landing behind a head leaves the heads, and so the
+    // wake cycle, as they were.
+    if (in(in_port, vc).count == 1) {
+        const Cycle go = headGo(pkt);
+        if (go < wakeAt()) {
+            wakeAt() = go;
+            shared_->mark(shared_->readyWheel, go, tile_);
+        }
+    }
     ++buffered_;
     markActive();
 }
@@ -114,7 +171,7 @@ Router::injectLocal(int vc, Msg &&m, int len_flits, Cycle now)
 }
 
 void
-Router::tickOutputsSlow(Cycle now)
+Router::completeOutputs(Cycle now)
 {
     Cycle earliest = cycleNever;
     for (int port = 0; port < NumPorts; ++port) {
@@ -139,32 +196,35 @@ Router::tickOutputsSlow(Cycle now)
             next->arrive(oppositePort(port), out.dstVc, out.pkt, now);
         }
     }
-    nextDone_ = earliest;
+    // Each remaining output was filed at its doneAt when granted.
+    nextDone() = earliest;
 }
 
 void
-Router::tickAllocateSlow(Cycle now)
+Router::allocate(Cycle now)
 {
     bool inPortUsed[NumPorts] = {};
-    bool granted = false;
     // With QoS active the protected VM's packets get first claim on
     // the switch, except on a deterministic yield cycle (every
     // fourth) that degrades to plain round-robin so unprotected
     // traffic cannot starve behind a saturating protected stream.
     if (qosReservedVcs_ > 0 && (now & 3) != 3)
-        granted = allocatePass(now, inPortUsed, /*protected_only=*/true);
-    granted |= allocatePass(now, inPortUsed, /*protected_only=*/false);
-    // Only a grant changes a VC head, so only a grant can move the
-    // wake cycle.
-    if (granted)
-        wakeAt_ = headWake();
+        allocatePass(now, inPortUsed, /*protected_only=*/true);
+    allocatePass(now, inPortUsed, /*protected_only=*/false);
+    // A grant changes heads and busies outputs. A ready head whose
+    // output is free but that got no grant (no downstream credit, its
+    // input port used this cycle) retries next cycle.
+    Cycle &wake = wakeAt();
+    wake = headWake();
+    if (wake != cycleNever)
+        shared_->mark(shared_->readyWheel, std::max(wake, now + 1),
+                      tile_);
 }
 
-bool
+void
 Router::allocatePass(Cycle now, bool inPortUsed[NumPorts],
                      bool protected_only)
 {
-    bool granted = false;
     const int total = NumPorts * params_.totalVcs();
     // Round-robin over input VCs for fairness; one grant per input
     // port and one per output port per cycle (shared across passes).
@@ -196,12 +256,12 @@ Router::allocatePass(Cycle now, bool inPortUsed[NumPorts],
         }
         if (k >= total)
             break;
-        const int port = idx / params_.totalVcs();
+        const int port = shared_->inputPort[idx];
         auto &ivc = inputs_[idx];
         ++k;
         if (inPortUsed[port])
             continue;
-        const PacketId id = ivc.q.front();
+        const PacketId id = vcAt(idx, 0);
         const RouterPacket &pkt = pool_[id];
         if (protected_only && pkt.msg.vm != qosProtectedVm_)
             continue;
@@ -217,7 +277,8 @@ Router::allocatePass(Cycle now, bool inPortUsed[NumPorts],
             CONSIM_ASSERT(next, "route into mesh edge at ", tile_,
                           " port ", pkt.outPort, " dst ",
                           pkt.msg.dstTile);
-            const int vnet = vnetOf(pkt.msg.type);
+            // An input VC only holds packets of its own vnet.
+            const int vnet = shared_->inputVnet[idx];
             if (!next->canAccept(oppositePort(pkt.outPort), vnet,
                                  pkt.lenFlits, pkt.msg.vm, &downVc)) {
                 continue; // back-pressure: retry next cycle
@@ -233,19 +294,18 @@ Router::allocatePass(Cycle now, bool inPortUsed[NumPorts],
         ++busyOutputs_;
         ++shared_->busyLinks;
         out.doneAt = now + pkt.lenFlits;
-        nextDone_ = std::min(nextDone_, out.doneAt);
+        nextDone() = std::min(nextDone(), out.doneAt);
+        shared_->mark(shared_->doneWheel, out.doneAt, tile_);
         out.dstVc = downVc;
         out.pkt = id;
-        ivc.q.pop_front();
-        if (ivc.q.empty())
+        vcPop(idx);
+        if (ivc.count == 0)
             occ_ &= ~(std::uint64_t(1) << idx);
         --buffered_;
         ivc.freeFlits += pkt.lenFlits;
         inPortUsed[port] = true;
         rrInput_ = idx + 1 == total ? 0 : idx + 1;
-        granted = true;
     }
-    return granted;
 }
 
 Cycle
@@ -253,9 +313,7 @@ Router::headWake() const
 {
     Cycle wake = cycleNever;
     for (std::uint64_t bits = occ_; bits != 0; bits &= bits - 1)
-        wake = std::min(
-            wake, pool_[inputs_[lowestSetBit(bits)].q.front()]
-                      .readyCycle);
+        wake = std::min(wake, headGo(pool_[vcAt(lowestSetBit(bits), 0)]));
     return wake;
 }
 
@@ -276,15 +334,28 @@ Router::rebuildActivity()
     occ_ = 0;
     buffered_ = 0;
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        if (!inputs_[i].q.empty())
+        if (inputs_[i].count != 0)
             occ_ |= std::uint64_t(1) << i;
-        buffered_ += static_cast<int>(inputs_[i].q.size());
+        buffered_ += inputs_[i].count;
     }
     busyOutputs_ = 0;
     for (const auto &out : outputs_)
         busyOutputs_ += out.busy ? 1 : 0;
-    wakeAt_ = headWake();
-    nextDone_ = outputsDone();
+    wakeAt() = headWake();
+    nextDone() = outputsDone();
+}
+
+void
+Router::markWheels(Cycle from)
+{
+    if (wakeAt() != cycleNever)
+        shared_->mark(shared_->readyWheel, std::max(wakeAt(), from),
+                      tile_);
+    for (const auto &out : outputs_) {
+        if (out.busy)
+            shared_->mark(shared_->doneWheel,
+                          std::max(out.doneAt, from), tile_);
+    }
 }
 
 bool
@@ -298,7 +369,7 @@ Router::bufferedPackets() const
 {
     int n = 0;
     for (const auto &ivc : inputs_)
-        n += static_cast<int>(ivc.q.size());
+        n += ivc.count;
     return n;
 }
 
@@ -325,9 +396,10 @@ Router::checkInvariants(
     for (int port = 0; port < NumPorts; ++port) {
         for (int vc = 0; vc < params_.totalVcs(); ++vc) {
             const auto &ivc = in(port, vc);
+            const int idx = port * params_.totalVcs() + vc;
             int queuedFlits = 0;
-            for (const PacketId id : ivc.q) {
-                const RouterPacket &pkt = pool_[id];
+            for (int i = 0; i < ivc.count; ++i) {
+                const RouterPacket &pkt = pool_[vcAt(idx, i)];
                 if (pkt.lenFlits < 1 ||
                     pkt.lenFlits > params_.vcBufferFlits) {
                     CONSIM_CHECK_FAIL("router ", tile_,
@@ -336,7 +408,7 @@ Router::checkInvariants(
                 }
                 queuedFlits += pkt.lenFlits;
             }
-            buffered += static_cast<int>(ivc.q.size());
+            buffered += ivc.count;
             if (ivc.freeFlits < 0 ||
                 ivc.freeFlits > params_.vcBufferFlits) {
                 CONSIM_CHECK_FAIL("router ", tile_, " port ", port,
@@ -376,10 +448,10 @@ Router::checkInvariants(
                           ": busy output count drifted (cached=",
                           busyOutputs_, " recount=", busy, ")");
     }
-    if (wakeAt_ != headWake() || nextDone_ != outputsDone()) {
+    if (wakeAt() != headWake() || nextDone() != outputsDone()) {
         CONSIM_CHECK_FAIL("router ", tile_,
                           ": wake cycle drifted (cached wake=",
-                          wakeAt_, " done=", nextDone_,
+                          wakeAt(), " done=", nextDone(),
                           ", recount wake=", headWake(), " done=",
                           outputsDone(), ")");
     }
@@ -398,7 +470,7 @@ Router::creditJson() const
             const auto &ivc = in(port, vc);
             // Only VCs holding packets or missing credits are
             // interesting in a hang dump.
-            if (ivc.q.empty() &&
+            if (ivc.count == 0 &&
                 ivc.freeFlits == params_.vcBufferFlits) {
                 continue;
             }
@@ -406,9 +478,12 @@ Router::creditJson() const
             e.set("port", port);
             e.set("vc", vc);
             e.set("free_flits", ivc.freeFlits);
-            e.set("queued", static_cast<int>(ivc.q.size()));
-            if (!ivc.q.empty())
-                e.set("head", describe(pool_[ivc.q.front()].msg));
+            e.set("queued", static_cast<int>(ivc.count));
+            if (ivc.count != 0) {
+                const PacketId head =
+                    vcAt(port * params_.totalVcs() + vc, 0);
+                e.set("head", describe(pool_[head].msg));
+            }
             vcs.push(std::move(e));
         }
     }

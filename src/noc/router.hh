@@ -19,14 +19,25 @@
  *    deadlock cycles. XY routing keeps each vnet cycle-free.
  *
  * Activity-driven evaluation (host cost follows packets, not tiles):
- *  - Packets live in the mesh's PacketPool; VC rings and output
+ *  - Packets live in the mesh's PacketPool; input VCs and output
  *    ports hold 4-byte handles. A handle is taken when the NI
- *    injects and released when the packet ejects.
- *  - wakeAt_ is the earliest readyCycle among the input-VC heads.
- *    Before it no head can win the switch, so the allocation sweep
- *    (which would grant nothing and leave rrInput_ alone) is skipped.
+ *    injects and released when the packet ejects. Each input VC is
+ *    a fixed ring of roundUpPow2(vcBufferFlits) handles in the
+ *    mesh's slab (a VC never holds more packets than flits), with a
+ *    1-byte head and count.
+ *  - The wake cycle is the first cycle an input-VC head can win the
+ *    switch: the head's readyCycle, or the cycle its busy output
+ *    completes if that is later. Before it the allocation sweep
+ *    would grant nothing and leave rrInput_ alone, so it is not run.
+ *    A ready head with a free output that still got no grant (no
+ *    downstream credit, input port taken) retries next cycle.
  *  - A busy output stores the cycle it completes (doneAt); the
  *    router looks at its outputs only at the earliest of them.
+ *  - Both cycles live in the mesh's dense per-tile arrays, and the
+ *    router files itself in the mesh's cycle-indexed wheels: every
+ *    grant marks its doneAt slot, every change that leaves a finite
+ *    wake marks the slot of max(wake, now + 1). The mesh visits a
+ *    router only in the slots it marked.
  *  - link_busy_cycles grows once per cycle by the mesh-wide count of
  *    busy outputs, the same per-cycle sum a per-output countdown
  *    would add.
@@ -35,6 +46,7 @@
 #ifndef CONSIM_NOC_ROUTER_HH
 #define CONSIM_NOC_ROUTER_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -43,7 +55,6 @@
 #include "coherence/protocol.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "common/ring.hh"
 #include "noc/network.hh"
 #include "noc/routing.hh"
 
@@ -140,15 +151,64 @@ class PacketPool
 };
 
 /**
- * State the routers of one mesh share: the packet pool, the number
- * of busy output links, and the bitmask (bit = tile) of routers that
- * hold packets, which Mesh::tick walks in ascending tile order.
+ * State the routers of one mesh share, laid out by tile so the
+ * mesh's walks read dense arrays instead of router objects:
+ *  - the packet pool and the slab of input-VC handle rings;
+ *  - the number of busy output links;
+ *  - activeRouters, the bitmask (bit = tile) of routers holding
+ *    packets: set on arrival, cleared when the last output
+ *    completes. It answers Mesh::idle and the audits;
+ *  - per tile, the wake cycle (first cycle an input-VC head can win
+ *    the switch) and the completion cycle (earliest busy-output
+ *    doneAt), cycleNever when there is none;
+ *  - two wheels of wheelSlots tile bitmasks indexed by
+ *    (cycle & wheelMask): doneWheel holds the routers with an output
+ *    completing at that cycle (phase 1 of Mesh::tick), readyWheel
+ *    the routers whose allocation sweep is due (phase 3). A mark is
+ *    never more than max(pipelineDelay, dataFlits) cycles ahead of
+ *    the cycle being ticked, and wheelSlots exceeds that, so a slot
+ *    never holds marks for two different cycles.
  */
 struct MeshShared
 {
+    MeshShared(int tiles, const NocParams &params);
+
+    /** @return the wheel slot (one bitmask) for cycle @p c. */
+    std::uint64_t *
+    slot(std::vector<std::uint64_t> &wheel, Cycle c)
+    {
+        return &wheel[static_cast<std::size_t>(c & wheelMask) * words];
+    }
+    const std::uint64_t *
+    slot(const std::vector<std::uint64_t> &wheel, Cycle c) const
+    {
+        return &wheel[static_cast<std::size_t>(c & wheelMask) * words];
+    }
+
+    /** File router @p t in @p wheel's slot for cycle @p c. */
+    void
+    mark(std::vector<std::uint64_t> &wheel, Cycle c, CoreId t)
+    {
+        slot(wheel, c)[t >> 6] |= std::uint64_t(1) << (t & 63);
+    }
+
     PacketPool pool;
     int busyLinks = 0;
+    std::size_t words = 0; ///< 64-bit words per tile bitmask
     std::vector<std::uint64_t> activeRouters;
+    std::vector<Cycle> wakeAt; ///< per tile: earliest Router::headGo
+    std::vector<Cycle> doneAt; ///< per tile: earliest busy doneAt
+    Cycle wheelMask = 0;       ///< wheelSlots - 1
+    std::vector<std::uint64_t> doneWheel;  ///< [slot][word]
+    std::vector<std::uint64_t> readyWheel; ///< [slot][word]
+    int vcSlotShift = 0; ///< log2 of the handles per input VC
+    std::vector<PacketId> vcSlots; ///< [tile][port][vc][handle]
+    /** Per input-VC index (port x VCs + vc): its port and vnet, so the
+     *  allocator divides by nothing. */
+    std::uint8_t inputPort[64] = {};
+    std::uint8_t inputVnet[64] = {};
+    /** Per tile: mesh column and row (XY routing without division). */
+    std::vector<std::uint16_t> tileX, tileY;
 };
 
 /**
@@ -201,22 +261,19 @@ class Router
     void injectLocal(int vc, Msg &&m, int len_flits, Cycle now);
 
     /** Phase 1: finish the transmissions that complete at @p now
-     *  (arrivals land, ejections fire). */
-    void
-    tickOutputs(Cycle now)
-    {
-        if (now >= nextDone_)
-            tickOutputsSlow(now);
-    }
+     *  (arrivals land, ejections fire). The mesh calls it only in
+     *  the doneWheel slot of @p now. */
+    void completeOutputs(Cycle now);
 
-    /** Phase 3: switch allocation (speculative VA+SA), skipped until
-     *  some input-VC head is ready. */
-    void
-    tickAllocate(Cycle now)
-    {
-        if (now >= wakeAt_)
-            tickAllocateSlow(now);
-    }
+    /** Phase 3: switch allocation (speculative VA+SA). The mesh calls
+     *  it only in the readyWheel slot of @p now; it re-files the
+     *  router for its next wake. */
+    void allocate(Cycle now);
+
+    /** File this router in both wheels from its wake and output
+     *  completion cycles; a cycle at or before @p from goes in the
+     *  slot of @p from (checkpoint restore resumes there). */
+    void markWheels(Cycle from);
 
     /** @return true when no buffered packets or active transfers. */
     bool idle() const;
@@ -260,17 +317,19 @@ class Router
     /** Checkpoint layer saves/restores VC queues and output ports. */
     friend struct CkptAccess;
 
+    /** An input VC: a ring of handles in the mesh's slab. */
     struct InputVc
     {
-        RingBuf<PacketId> q;
         int freeFlits = 0;
+        std::uint8_t head = 0;  ///< ring position of the front handle
+        std::uint8_t count = 0; ///< queued packets
     };
 
     struct OutPort
     {
         bool busy = false;
         int dstVc = 0;
-        Cycle doneAt = 0; ///< the tickOutputs cycle that finishes it
+        Cycle doneAt = 0; ///< the completeOutputs cycle that finishes it
         PacketId pkt = 0;
     };
 
@@ -285,16 +344,58 @@ class Router
         return inputs_[port * params_.totalVcs() + vc];
     }
 
-    void tickOutputsSlow(Cycle now);
-    void tickAllocateSlow(Cycle now);
+    /** @return the handle @p i places behind the front of input VC
+     *  @p idx. */
+    PacketId
+    vcAt(int idx, int i) const
+    {
+        const int ring = 1 << shared_->vcSlotShift;
+        return slots_[(idx << shared_->vcSlotShift) +
+                      ((inputs_[idx].head + i) & (ring - 1))];
+    }
+
+    void
+    vcPush(int idx, PacketId id)
+    {
+        InputVc &ivc = inputs_[idx];
+        const int ring = 1 << shared_->vcSlotShift;
+        CONSIM_ASSERT(ivc.count < ring, "input VC ring overflow");
+        slots_[(idx << shared_->vcSlotShift) +
+               ((ivc.head + ivc.count) & (ring - 1))] = id;
+        ++ivc.count;
+    }
+
+    void
+    vcPop(int idx)
+    {
+        InputVc &ivc = inputs_[idx];
+        const int ring = 1 << shared_->vcSlotShift;
+        ivc.head = static_cast<std::uint8_t>((ivc.head + 1) & (ring - 1));
+        --ivc.count;
+    }
+
+    Cycle &wakeAt() { return shared_->wakeAt[tile_]; }
+    Cycle wakeAt() const { return shared_->wakeAt[tile_]; }
+    Cycle &nextDone() { return shared_->doneAt[tile_]; }
+    Cycle nextDone() const { return shared_->doneAt[tile_]; }
 
     /** One switch-allocation sweep; @p protected_only restricts
-     *  grants to the QoS-protected VM's packets (priority pass).
-     *  @return true when it granted at least one packet. */
-    bool allocatePass(Cycle now, bool inPortUsed[NumPorts],
+     *  grants to the QoS-protected VM's packets (priority pass). */
+    void allocatePass(Cycle now, bool inPortUsed[NumPorts],
                       bool protected_only);
 
-    /** @return the earliest readyCycle among the input-VC heads. */
+    /** @return the first cycle head packet @p pkt can win the
+     *  switch: its readyCycle, or the cycle its output completes if
+     *  that is later (an output frees only then). */
+    Cycle
+    headGo(const RouterPacket &pkt) const
+    {
+        const OutPort &out = outputs_[pkt.outPort];
+        return out.busy ? std::max(pkt.readyCycle, out.doneAt)
+                        : pkt.readyCycle;
+    }
+
+    /** @return the earliest headGo among the input-VC heads. */
     Cycle headWake() const;
 
     /** @return the earliest doneAt among the busy outputs. */
@@ -302,7 +403,8 @@ class Router
 
     /** Recompute occupancy, the counts and the wake/completion
      *  cycles from the queues and outputs (checkpoint restore
-     *  refills them behind our back). */
+     *  refills them behind our back; Mesh::rebuildActivity then
+     *  re-files the router in the wheels). */
     void rebuildActivity();
 
     /** Mark this router in the mesh's active set. */
@@ -318,6 +420,7 @@ class Router
     NetworkStats *stats_;
     MeshShared *shared_;
     PacketPool &pool_;
+    PacketId *slots_;                   ///< this router's slab rings
     std::vector<InputVc> inputs_;       ///< [port][vc]
     OutPort outputs_[NumPorts];
     Router *neighbor_[NumPorts] = {};
@@ -326,8 +429,6 @@ class Router
     int buffered_ = 0;                  ///< packets across input VCs
     int busyOutputs_ = 0;               ///< outputs mid-transmission
     std::uint64_t occ_ = 0;             ///< input VCs with packets
-    Cycle wakeAt_ = cycleNever;         ///< earliest head readyCycle
-    Cycle nextDone_ = cycleNever;       ///< earliest busy doneAt
     VmId qosProtectedVm_ = invalidVm;   ///< QoS: protected VM (config)
     int qosReservedVcs_ = 0;            ///< QoS: reserved VCs per vnet
 };

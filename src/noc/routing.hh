@@ -38,14 +38,12 @@ oppositePort(int port)
 }
 
 /**
- * Compute the output port for a packet at tile @p here going to tile
- * @p dest on an meshX x meshY mesh, using XY dimension-order routing.
+ * XY dimension-order routing on mesh coordinates: the output port at
+ * (@p hx, @p hy) for a packet going to (@p dx, @p dy).
  */
-inline int
-xyRoute(CoreId here, CoreId dest, int mesh_x)
+constexpr int
+xyRouteAt(int hx, int hy, int dx, int dy)
 {
-    const int hx = here % mesh_x, hy = here / mesh_x;
-    const int dx = dest % mesh_x, dy = dest / mesh_x;
     if (dx > hx)
         return PortEast;
     if (dx < hx)
@@ -55,6 +53,17 @@ xyRoute(CoreId here, CoreId dest, int mesh_x)
     if (dy < hy)
         return PortNorth;
     return PortLocal;
+}
+
+/**
+ * Compute the output port for a packet at tile @p here going to tile
+ * @p dest on an meshX x meshY mesh, using XY dimension-order routing.
+ */
+inline int
+xyRoute(CoreId here, CoreId dest, int mesh_x)
+{
+    return xyRouteAt(here % mesh_x, here / mesh_x, dest % mesh_x,
+                     dest / mesh_x);
 }
 
 /** @return Manhattan hop distance between two tiles. */

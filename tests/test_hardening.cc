@@ -15,7 +15,9 @@
 #include "core/experiment.hh"
 #include "core/fault.hh"
 #include "core/mix.hh"
+#include "core/system.hh"
 #include "exec/sweep.hh"
+#include "noc/mesh.hh"
 
 using namespace consim;
 
@@ -227,6 +229,58 @@ TEST(FaultCatalog, CleanRunPassesFullChecks)
     const RunResult r = runExperiment(cfg);
     ASSERT_FALSE(r.vms.empty());
     EXPECT_GT(r.vms[0].instructions, 0u);
+}
+
+// ---------------------------------------------------------------- //
+// Wake-state audits: a component filed too late would skip work.    //
+// ---------------------------------------------------------------- //
+
+TEST(WakeAudit, LateCoreWakeIsCaught)
+{
+    RunConfig cfg = quickConfig(1);
+    ExperimentRig rig = buildExperimentRig(cfg);
+    System sys(cfg.machine, rig.vms, rig.placements);
+    // Most cores sit blocked on misses; step until one has work due.
+    CoreId victim = -1;
+    for (int i = 0; i < 20'000 && victim < 0; ++i) {
+        sys.run(1);
+        for (CoreId c = 0; c < cfg.machine.numCores(); ++c) {
+            if (sys.core(c).nextWork() != cycleNever) {
+                victim = c;
+                break;
+            }
+        }
+    }
+    ASSERT_GE(victim, 0) << "no core with work due";
+    EXPECT_NO_THROW(sys.checkInvariants());
+    // Early is harmless (the tick does nothing); late is not.
+    sys.coreWake(victim) = 0;
+    EXPECT_NO_THROW(sys.checkInvariants());
+    sys.coreWake(victim) = cycleNever;
+    EXPECT_THROW(sys.checkInvariants(), SimError);
+}
+
+TEST(WakeAudit, RouterMissingFromItsWheelSlotIsCaught)
+{
+    MachineConfig cfg;
+    Mesh mesh(cfg);
+    mesh.setDeliver([](const Msg &) {});
+    Msg m;
+    m.type = MsgType::Data;
+    m.srcTile = 0;
+    m.dstTile = 15;
+    mesh.inject(m);
+    // Cycle 0: the NI moves the packet into router 0, whose head is
+    // ready for switch allocation at cycle 2.
+    mesh.tick(0);
+    const Cycle wake = mesh.shared().wakeAt[0];
+    ASSERT_EQ(wake, 2u);
+    EXPECT_NO_THROW(mesh.checkConservation());
+    std::uint64_t &word =
+        mesh.shared().slot(mesh.shared().readyWheel, wake)[0];
+    ASSERT_EQ(word & 1, 1u);
+    word &= ~std::uint64_t(1);
+    EXPECT_THROW(mesh.checkConservation(), SimError);
 }
 
 // ---------------------------------------------------------------- //

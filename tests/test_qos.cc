@@ -233,7 +233,7 @@ TEST(RouterQos, ReservedVcsAdmitOnlyTheProtectedVm)
 {
     NocParams params; // 3 vnets x 2 VCs, 8-flit buffers
     NetworkStats stats;
-    MeshShared shared;
+    MeshShared shared(1, params);
     Router router(0, params, &stats, &shared);
     router.setQos(0, 1);
 

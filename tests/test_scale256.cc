@@ -57,35 +57,54 @@ expectParallelByteIdentity(const RunConfig &cfg, int jobs)
     EXPECT_EQ(par_doc, serial_doc) << "run-jobs " << jobs;
 }
 
-/** Packets a snapshot's mesh holds: buffered in router input VCs
- *  and on busy router outputs. */
-struct MeshInFlight
+/** What a snapshot holds in flight: packets in router input VCs
+ *  (and how many of them are not yet ready for switch allocation),
+ *  busy router outputs, and cores inside a compute burst. */
+struct InFlight
 {
     int buffered = 0;
+    int notReady = 0;
     int busyOutputs = 0;
+    int midBurst = 0;
 };
 
-MeshInFlight
-meshInFlight(const json::Value &ckpt)
+InFlight
+inFlight(const json::Value &ckpt)
 {
-    MeshInFlight n;
-    const json::Value *net = ckpt.find("machine")->find("net");
+    InFlight n;
+    const json::Value *machine = ckpt.find("machine");
+    const std::uint64_t now = machine->find("cycle")->asUint();
+    const json::Value *net = machine->find("net");
     for (const json::Value &r : net->find("routers")->items()) {
-        for (const json::Value &vc : r.find("inputs")->items())
-            n.buffered += static_cast<int>(vc.find("q")->size());
+        for (const json::Value &vc : r.find("inputs")->items()) {
+            for (const json::Value &pkt : vc.find("q")->items()) {
+                ++n.buffered;
+                // [msg, flits, readyCycle, outPort]
+                if (pkt.at(2).asUint() > now)
+                    ++n.notReady;
+            }
+        }
         for (const json::Value &out : r.find("outputs")->items())
             n.busyOutputs += out.find("busy")->boolean() ? 1 : 0;
+    }
+    for (const json::Value &c : machine->find("cores")->items()) {
+        if (c.find("have_slice")->boolean() &&
+            c.find("busy_until")->asUint() > now)
+            ++n.midBurst;
     }
     return n;
 }
 
 /** Deadline-trip + resume must reproduce the uninterrupted run. When
  *  @p mid_flight is set, the snapshot must also catch the mesh with
- *  packets buffered and outputs busy, so restore rebuilds the
- *  routers' wake cycles, completion cycles and active sets. */
+ *  packets buffered (some not yet ready) and outputs busy, so restore
+ *  rebuilds the routers' wake cycles, completion cycles, wheel slots
+ *  and active sets. When @p mid_burst is set, it must also hold a
+ *  core inside a compute burst, whose wake cycle lies ahead. */
 void
 expectResumeByteIdentity(const RunConfig &cfg, Cycle deadline,
-                         Cycle every, bool mid_flight = false)
+                         Cycle every, bool mid_flight = false,
+                         bool mid_burst = false)
 {
     const std::string full_doc =
         runResultJson(cfg, runExperiment(cfg)).dump(2);
@@ -102,9 +121,14 @@ expectResumeByteIdentity(const RunConfig &cfg, Cycle deadline,
         std::string err;
         ASSERT_TRUE(json::parse(e.ckpt(), doc, &err)) << err;
         if (mid_flight) {
-            const MeshInFlight n = meshInFlight(doc);
+            const InFlight n = inFlight(doc);
             EXPECT_GE(n.buffered, 1) << "no buffered router packet";
+            EXPECT_GE(n.notReady, 1) << "no packet before its readyCycle";
             EXPECT_GE(n.busyOutputs, 1) << "no busy router output";
+        }
+        if (mid_burst) {
+            EXPECT_GE(inFlight(doc).midBurst, 1)
+                << "no core mid compute burst";
         }
         const RunResult resumed = resumeExperiment(doc);
         EXPECT_EQ(runResultJson(cfg, resumed).dump(2), full_doc);
@@ -130,13 +154,17 @@ TEST(Scale256, CheckpointRoundTripsAt256CoresPrivateSharing)
     // 256 private groups: every directory GroupSet and presence
     // CoreSet spills to four heap words, so the snapshot codec's
     // word-array paths (save, load, trailing-zero canonicalisation)
-    // all run. The snapshot lands with packets mid-flight in the
-    // mesh, so restore rebuilds router activity. Resume must be
-    // byte-identical.
+    // all run. The snapshots land with packets mid-flight in the
+    // mesh (some before their readyCycle), so restore rebuilds router
+    // activity and wheel slots. Resume must be byte-identical.
     RunConfig cfg = scaleConfig(16, 16, SharingDegree::Private,
                                 SchedPolicy::RoundRobin);
     cfg.vmThreads = {64, 64, 64, 64};
     expectResumeByteIdentity(cfg, 14'000, 5'000, /*mid_flight=*/true);
+    // A snapshot at the deadline itself also holds a core mid compute
+    // burst (almost every core sits blocked on a miss at this scale).
+    expectResumeByteIdentity(cfg, 14'000, 14'000, /*mid_flight=*/true,
+                             /*mid_burst=*/true);
 }
 
 TEST(Scale256, OverCommittedScheduleMakesProgressForEveryVm)

@@ -341,32 +341,59 @@ if [[ "$skip_perf" == 1 ]]; then
 else
     echo "=== perf smoke: throughput vs committed baseline ==="
     # Single-sim throughput must stay within 15% of the most recent
-    # committed BENCH_*.json. perf_smoke reports the median of three
-    # timed repetitions (the sim is deterministic, so the repeats
-    # differ only by host noise) and stamps the envelope with host
-    # metadata (host_cpus, cpu_model, loadavg_1m) so a tripped gate
-    # can be triaged against the machine it ran on. The floor is
-    # still deliberately loose — it catches order-of-magnitude
-    # regressions in the event core, not percent drift.
+    # committed BENCH_*.json, at 16 cores (the first cycles_per_sec)
+    # and at 256 cores (the cores_256 section). perf_smoke reports
+    # the median of three timed repetitions (the sim is
+    # deterministic, so the repeats differ only by host noise) and
+    # stamps the envelope with host metadata (host_cpus, cpu_model,
+    # loadavg_1m) so a tripped gate can be triaged against the
+    # machine it ran on. The floor is still deliberately loose — it
+    # catches order-of-magnitude regressions in the event core, not
+    # percent drift.
     baseline="$(ls BENCH_*.json 2>/dev/null | sort -V | tail -n1 || true)"
     if [[ -z "$baseline" ]]; then
         echo "perf smoke: no committed BENCH_*.json baseline; skipping"
     else
         ./build/bench/perf_smoke > "$ckpt_dir/perf.json"
-        base_cps="$(grep -o '"cycles_per_sec":[0-9]*' "$baseline" |
-            head -n1 | cut -d: -f2)"
-        new_cps="$(grep -o '"cycles_per_sec":[0-9]*' "$ckpt_dir/perf.json" |
-            head -n1 | cut -d: -f2)"
+        # cps FILE [SECTION]: the first cycles_per_sec of FILE's first
+        # line, or of its SECTION object ("" when absent).
+        cps() {
+            local line
+            line="$(head -n1 "$1")"
+            if [[ -n "${2:-}" ]]; then
+                line="$(grep -o "\"$2\":{[^}]*}" <<<"$line" || true)"
+            fi
+            grep -o '"cycles_per_sec":[0-9]*' <<<"$line" |
+                head -n1 | cut -d: -f2 || true
+        }
+        # gate LABEL BASE CUR: fail when CUR < 85% of BASE.
+        gate() {
+            awk -v what="$1" -v base="$2" -v cur="$3" 'BEGIN {
+                floor = base * 0.85;
+                printf "perf smoke: %s %s cycles/s vs baseline %s " \
+                       "(floor %.0f)\n", what, cur, base, floor;
+                exit (cur + 0 < floor) ? 1 : 0;
+            }' || {
+                echo "perf smoke: $1 throughput dropped >15% vs" \
+                     "$baseline" >&2
+                exit 1; }
+        }
+        base_cps="$(cps "$baseline")"
+        new_cps="$(cps "$ckpt_dir/perf.json")"
         [[ -n "$base_cps" && -n "$new_cps" ]] || {
             echo "perf smoke: cannot extract cycles_per_sec" >&2; exit 1; }
-        awk -v base="$base_cps" -v cur="$new_cps" 'BEGIN {
-            floor = base * 0.85;
-            printf "perf smoke: %s cycles/s vs baseline %s (floor %.0f)\n",
-                cur, base, floor;
-            exit (cur + 0 < floor) ? 1 : 0;
-        }' || {
-            echo "perf smoke: throughput dropped >15% vs $baseline" >&2
+        gate "16 cores" "$base_cps" "$new_cps"
+        base_256="$(cps "$baseline" cores_256)"
+        new_256="$(cps "$ckpt_dir/perf.json" cores_256)"
+        [[ -n "$new_256" ]] || {
+            echo "perf smoke: cannot extract cores_256.cycles_per_sec" >&2
             exit 1; }
+        if [[ -z "$base_256" ]]; then
+            echo "perf smoke: $baseline has no cores_256.cycles_per_sec;" \
+                 "skipping the 256-core gate"
+        else
+            gate "256 cores" "$base_256" "$new_256"
+        fi
     fi
 fi
 
