@@ -90,7 +90,6 @@ main()
         cfg.seed = 13;
         cfg.warmupCycles = cycles * 2 / 3;
         cfg.measureCycles = cycles;
-        cfg.runJobs = 1;
 
         const RunResult result = runExperiment(cfg);
         const double wall = benchutil::medianWall(

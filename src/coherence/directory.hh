@@ -259,8 +259,7 @@ class DirectorySlice
     CoreId tile_;
     const VmWindows &windows_;
     /** Sparse directory state of the blocks this tile is home for:
-     *  only non-Invalid entries are held, a missing one is Invalid.
-     *  One map per slice keeps tile-parallel lanes race-free. */
+     *  only non-Invalid entries are held, a missing one is Invalid. */
     BlockMap<DirEntry> entries_;
     CacheArray<DirCacheLine> dirCache_;
     BlockMap<Txn> active_{128};

@@ -66,8 +66,8 @@ defaultCheckpointIntervalCycles()
 int
 defaultRunJobs()
 {
-    // Strict parse like CONSIM_JOBS: garbage is fatal, unset means
-    // serial. The count is clamped to the core count by the System.
+    // Strict parse like CONSIM_JOBS: garbage is fatal. The value is
+    // ignored (every run is serial); only the parse remains.
     const int jobs = envIntInRange("CONSIM_RUN_JOBS", 1, 4096, 0);
     return jobs > 0 ? jobs : 1;
 }
@@ -360,11 +360,11 @@ armSystem(System &sys, const RunConfig &res)
         sys.setCycleDeadline(res.cycleDeadline);
     if (res.ckptEveryCycles != 0)
         sys.setCheckpointInterval(res.ckptEveryCycles);
-    // runJobs is resolved here, not in resolveConfig: it is a how-fast
-    // knob with no effect on results, so it must never leak into the
-    // checkpoint context (a resume may legally run with a different
-    // thread count than the original attempt).
-    sys.setRunJobs(res.runJobs ? res.runJobs : defaultRunJobs());
+    // runJobs / CONSIM_RUN_JOBS sized the removed tile-parallel
+    // engine: the env value is still parsed strictly (garbage stays
+    // fatal) for one release, then ignored.
+    if (res.runJobs == 0)
+        (void)defaultRunJobs();
 }
 
 /** Experiment context embedded verbatim in periodic snapshots. */

@@ -71,11 +71,9 @@ struct RunConfig
      *  the most recent one to watchdog/deadline SimErrors. 0 = resolve
      *  from CONSIM_CKPT env, which defaults to off. */
     Cycle ckptEveryCycles = 0;
-    /** Worker threads for the tile-parallel event core (results are
-     *  byte-identical to serial for any value). 0 = resolve from
-     *  CONSIM_RUN_JOBS env, falling back to 1 (serial). Deliberately
-     *  NOT part of the run.v1 config echo or the checkpoint context:
-     *  it changes how a result is computed, never the result. */
+    /** Ignored: the worker count of the removed tile-parallel engine,
+     *  kept for one release so existing callers compile. Never part
+     *  of the run.v1 config echo or the checkpoint context. */
     int runJobs = 0;
 };
 
@@ -91,7 +89,8 @@ Cycle defaultWatchdogIntervalCycles();
 /** Default checkpoint interval (CONSIM_CKPT env; 0 = off, the default). */
 Cycle defaultCheckpointIntervalCycles();
 
-/** Default run-jobs count (CONSIM_RUN_JOBS env; falls back to 1). */
+/** CONSIM_RUN_JOBS, strictly parsed (malformed is fatal) and
+ *  otherwise ignored; 1 when unset. */
 int defaultRunJobs();
 
 /** Metrics for one VM instance in one run. */

@@ -141,6 +141,15 @@ TEST(CheckpointResume, ByteIdenticalAt64Cores)
     cfg.machine.meshX = 8;
     cfg.machine.meshY = 8;
     expectResumeByteIdentity(cfg, 20'000, 6'000);
+
+    // And on a 16x8 mesh, whose ejection handoff is (16+8)/4 = 6
+    // cycles instead of 3, with 32 round-robin threads per VM: the
+    // snapshot holds Deliver events further ahead of the clock.
+    cfg.machine.meshX = 16;
+    cfg.machine.meshY = 8;
+    cfg.policy = SchedPolicy::RoundRobin;
+    cfg.vmThreads = {32, 32, 32, 32};
+    expectResumeByteIdentity(cfg, 20'000, 6'000);
 }
 
 TEST(CheckpointResume, HeterogeneousVmThreadsSurviveTheContext)
@@ -206,6 +215,59 @@ TEST(CheckpointResume, WatchdogTripCheckpointIsRestorable)
             EXPECT_EQ(again.kind(), SimErrorKind::Watchdog);
         }
     }
+}
+
+TEST(CheckpointResume, DroppedFootprintBlockFailsRestore)
+{
+    // A footprint's count is the size of its touched set, so restore
+    // recounts the set instead of trusting the stored count: a
+    // snapshot that lost one touched index must be refused.
+    RunConfig cfg =
+        smallConfig(SharingDegree::Shared4, SchedPolicy::Affinity);
+    cfg.cycleDeadline = 8'000;
+    cfg.ckptEveryCycles = 4'000;
+    json::Value doc;
+    try {
+        runExperiment(cfg);
+        FAIL() << "deadline did not trip";
+    } catch (const SimError &e) {
+        ASSERT_TRUE(json::parse(e.ckpt(), doc));
+    }
+
+    const check::Level saved_level = check::level();
+    check::setLevel(check::Level::Basic); // asserts throw, not abort
+
+    // Control: the untouched snapshot restores and runs to the end.
+    EXPECT_NO_THROW(resumeExperiment(doc));
+
+    const json::Value *vms = doc.find("vms");
+    ASSERT_NE(vms, nullptr);
+    json::Value edited = json::Value::array();
+    for (std::size_t v = 0; v < vms->size(); ++v) {
+        json::Value vm = vms->at(v);
+        if (v == 0) {
+            json::Value *fp = vm.find("footprint");
+            ASSERT_NE(fp, nullptr);
+            const json::Value *touched = fp->find("touched");
+            ASSERT_GT(touched->size(), 1u);
+            json::Value kept = json::Value::array();
+            for (std::size_t i = 1; i < touched->size(); ++i)
+                kept.push(touched->at(i));
+            fp->set("touched", std::move(kept));
+        }
+        edited.push(std::move(vm));
+    }
+    doc.set("vms", std::move(edited));
+
+    try {
+        resumeExperiment(doc);
+        ADD_FAILURE() << "restore accepted a dropped footprint block";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("footprint count"),
+                  std::string::npos)
+            << e.what();
+    }
+    check::setLevel(saved_level);
 }
 
 // ---------------------------------------------------------------- //

@@ -96,7 +96,13 @@ TEST(Determinism, ParallelSweepMatchesSerialRuns)
                     2),
         quickConfig(SchedPolicy::Affinity, SharingDegree::Private, 3),
         quickConfig(SchedPolicy::Random, SharingDegree::Shared8, 4),
+        // Interconnect ablations: the ideal network's scheduled
+        // arrivals, and every message through the mesh.
+        quickConfig(SchedPolicy::Affinity, SharingDegree::Shared4, 5),
+        quickConfig(SchedPolicy::Affinity, SharingDegree::Shared4, 6),
     };
+    configs[4].machine.idealNoc = true;
+    configs[5].machine.flatIntraGroup = false;
 
     // Force real pool parallelism even on a single-core host.
     SweepOptions opts;

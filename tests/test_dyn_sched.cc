@@ -339,30 +339,6 @@ TEST(DynSchedEnvelope, FieldsAppearOnlyWhenEnabled)
 }
 
 // ---------------------------------------------------------------- //
-// Parallel-engine byte-identity with migrations armed.              //
-// ---------------------------------------------------------------- //
-
-TEST(DynSchedParallelRun, MigratingRunByteIdenticalAcrossRunJobs)
-{
-    // Dyn-sched epochs are service points: both engines must sample
-    // the same epoch deltas at the same absolute cycles and decide
-    // the same swaps for the envelopes to match bit-for-bit.
-    RunConfig cfg = burstyConfig("contention-aware,epoch=5000");
-    cfg.runJobs = 1;
-    const std::string serial =
-        runResultJson(cfg, runExperiment(cfg)).dump(2);
-    for (const int jobs : {2, 4}) {
-        SCOPED_TRACE(jobs);
-        RunConfig par = cfg;
-        par.runJobs = jobs;
-        // The config echo never includes runJobs, so dumps are equal
-        // iff every result bit matches.
-        EXPECT_EQ(runResultJson(cfg, runExperiment(par)).dump(2),
-                  serial);
-    }
-}
-
-// ---------------------------------------------------------------- //
 // consim.ckpt.v5: migration-policy runtime state round-trips.       //
 // ---------------------------------------------------------------- //
 

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 verify (full build + test suite), a parallel-run
-# determinism check (--run-jobs 4 must match serial byte-for-byte), a
-# scale-out smoke (32-core/8-VM parallel determinism and
-# checkpoint-resume byte-identity), a scale-to-256 smoke (128-core
-# over-committed parallel determinism + resume byte-identity, and a
+# CI gate: tier-1 verify (full build + test suite), a resume
+# equivalence check (interrupted+resumed must match uninterrupted
+# byte-for-byte), a scale-out smoke (32-core/8-VM checkpoint-resume
+# byte-identity), a scale-to-256 smoke (128-core over-committed and
 # 256-core over-committed resume byte-identity), a
 # zero-allocation assertion over the measure window, an isolation
 # smoke (QoS must protect the VM) and a dyn-sched smoke (migration
@@ -14,8 +13,7 @@
 # perf-regression smoke against the committed BENCH_*.json, an
 # ASan+UBSan pass over the whole tier-1 suite (memory safety of the
 # registry, JSON layer, and simulator core), plus a ThreadSanitizer
-# pass over the concurrency surface (thread pool + parallel sweep +
-# tile-parallel event core + event queue).
+# pass over the concurrency surface (the sweep engine's thread pool).
 #
 # Usage: tools/ci.sh [--skip-tsan] [--skip-asan] [--skip-checked]
 #                    [--skip-perf]
@@ -42,22 +40,6 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
-echo "=== parallel-run determinism: --run-jobs 4 == serial ==="
-# The tile-parallel event core must reproduce the serial engine
-# byte-for-byte, envelope included (runJobs never enters the config
-# echo, so the documents are directly comparable).
-par_dir="$(mktemp -d)"
-trap 'rm -rf "$par_dir"' EXIT
-./build/tools/consim_run --mix "Mix 5" \
-    --warmup 300000 --measure 300000 \
-    --json "$par_dir/serial.json" >/dev/null
-./build/tools/consim_run --mix "Mix 5" \
-    --warmup 300000 --measure 300000 --run-jobs 4 \
-    --json "$par_dir/par.json" >/dev/null
-diff -u "$par_dir/serial.json" "$par_dir/par.json" || {
-    echo "parallel-run determinism: --run-jobs 4 diverged" >&2; exit 1; }
-echo "parallel-run determinism: envelopes byte-identical"
-
 echo "=== resume equivalence: interrupted+resumed == uninterrupted ==="
 # 2M simulated cycles, snapshot at 1M, deadline-trip at 1.1M, resume
 # from the snapshot: the result block of the resumed run must be
@@ -65,7 +47,7 @@ echo "=== resume equivalence: interrupted+resumed == uninterrupted ==="
 # differ — the tripped run carries the deadline knob — so compare from
 # the result object onward.)
 ckpt_dir="$(mktemp -d)"
-trap 'rm -rf "$ckpt_dir" "$par_dir"' EXIT
+trap 'rm -rf "$ckpt_dir"' EXIT
 ./build/tools/consim_run --vm tpcw --vm jbb \
     --warmup 1000000 --measure 1000000 --watchdog 200000 \
     --json "$ckpt_dir/full.json" >/dev/null
@@ -86,47 +68,18 @@ diff -u "$ckpt_dir/full.result" "$ckpt_dir/resumed.result" || {
     echo "resume equivalence: resumed result diverged" >&2; exit 1; }
 echo "resume equivalence: result blocks byte-identical"
 
-# Same contract with the tile-parallel engine on both sides: the
-# interrupted run snapshots from parallel windows (boundaries only),
-# and the resume itself runs parallel.
-if ./build/tools/consim_run --vm tpcw --vm jbb --run-jobs 4 \
-    --warmup 1000000 --measure 1000000 --watchdog 200000 \
-    --deadline 1100000 --ckpt-every 1000000 \
-    --ckpt-out "$ckpt_dir/trip-par.ckpt" >/dev/null 2>&1; then
-    echo "resume equivalence (parallel): deadline run unexpectedly succeeded" >&2
-    exit 1
-fi
-[[ -s "$ckpt_dir/trip-par.ckpt" ]] || {
-    echo "resume equivalence (parallel): no checkpoint written" >&2; exit 1; }
-diff -u "$ckpt_dir/trip.ckpt" "$ckpt_dir/trip-par.ckpt" || {
-    echo "resume equivalence (parallel): snapshot diverged from serial" >&2
-    exit 1; }
-./build/tools/consim_run --resume "$ckpt_dir/trip-par.ckpt" --run-jobs 4 \
-    --json "$ckpt_dir/resumed-par.json" >/dev/null
-awk '/"result": \{/,0' "$ckpt_dir/resumed-par.json" \
-    >"$ckpt_dir/resumed-par.result"
-diff -u "$ckpt_dir/full.result" "$ckpt_dir/resumed-par.result" || {
-    echo "resume equivalence (parallel): resumed result diverged" >&2
-    exit 1; }
-echo "resume equivalence (parallel): snapshots and results byte-identical"
-
 echo "=== scale-out smoke: 32-core chip, 8 VMs ==="
-# The parametric scale model must uphold the same two contracts beyond
-# the paper's 16-core chip: the tile-parallel engine reproduces serial
-# byte-for-byte, and an interrupted+resumed run matches uninterrupted.
+# The parametric scale model must uphold the same contract beyond the
+# paper's 16-core chip: an interrupted+resumed run matches
+# uninterrupted.
 scale_dir="$(mktemp -d)"
-trap 'rm -rf "$ckpt_dir" "$par_dir" "$scale_dir"' EXIT
+trap 'rm -rf "$ckpt_dir" "$scale_dir"' EXIT
 scale_args=(--mesh 8x4 --sharing 8
     --vm jbb --vm tpcw --vm tpch --vm web
     --vm jbb --vm tpcw --vm tpch --vm web
     --warmup 600000 --measure 600000 --watchdog 200000)
 ./build/tools/consim_run "${scale_args[@]}" \
     --json "$scale_dir/serial.json" >/dev/null
-./build/tools/consim_run "${scale_args[@]}" --run-jobs 4 \
-    --json "$scale_dir/par.json" >/dev/null
-diff -u "$scale_dir/serial.json" "$scale_dir/par.json" || {
-    echo "scale-out smoke: --run-jobs 4 diverged at 32 cores" >&2
-    exit 1; }
 if ./build/tools/consim_run "${scale_args[@]}" \
     --deadline 700000 --ckpt-every 600000 \
     --ckpt-out "$scale_dir/trip.ckpt" >/dev/null 2>&1; then
@@ -142,27 +95,22 @@ awk '/"result": \{/,0' "$scale_dir/resumed.json" >"$scale_dir/resumed.result"
 diff -u "$scale_dir/serial.result" "$scale_dir/resumed.result" || {
     echo "scale-out smoke: resumed result diverged at 32 cores" >&2
     exit 1; }
-echo "scale-out smoke: 32-core parallel + resume byte-identical"
+echo "scale-out smoke: 32-core resume byte-identical"
 
 echo "=== scale-to-256 smoke: 128- and 256-core chips, over-committed ==="
-# The same two contracts at the consolidation-study scale: a 16x8 mesh
+# The same contract at the consolidation-study scale: a 16x8 mesh
 # running Mix 1 with 1.5x over-committed schedules (192 threads on 128
 # cores, so the time-sliced context rotation is live). Short windows —
 # this is a correctness smoke, not a perf point (bench/fig16_scale256
 # owns the throughput numbers).
 big_dir="$(mktemp -d)"
-trap 'rm -rf "$ckpt_dir" "$par_dir" "$scale_dir" "$big_dir"' EXIT
+trap 'rm -rf "$ckpt_dir" "$scale_dir" "$big_dir"' EXIT
 big_args=(--mesh 16x8 --sharing 8
     --vm jbb --vm tpcw --vm tpch --vm web
     --vm-threads 48,48,48,48
     --warmup 10000 --measure 10000 --watchdog 20000)
 ./build/tools/consim_run "${big_args[@]}" \
     --json "$big_dir/serial.json" >/dev/null
-./build/tools/consim_run "${big_args[@]}" --run-jobs 4 \
-    --json "$big_dir/par.json" >/dev/null
-diff -u "$big_dir/serial.json" "$big_dir/par.json" || {
-    echo "scale-to-256 smoke: --run-jobs 4 diverged at 128 cores" >&2
-    exit 1; }
 if ./build/tools/consim_run "${big_args[@]}" \
     --deadline 12000 --ckpt-every 10000 \
     --ckpt-out "$big_dir/trip.ckpt" >/dev/null 2>&1; then
@@ -178,7 +126,7 @@ awk '/"result": \{/,0' "$big_dir/resumed.json" >"$big_dir/resumed.result"
 diff -u "$big_dir/serial.result" "$big_dir/resumed.result" || {
     echo "scale-to-256 smoke: resumed result diverged at 128 cores" >&2
     exit 1; }
-echo "scale-to-256 smoke: 128-core parallel + resume byte-identical"
+echo "scale-to-256 smoke: 128-core resume byte-identical"
 
 # The full 16x16 point: Mix 1 with 96 threads per VM (384 threads on
 # 256 cores), tripped after its first snapshot and resumed. The sparse
@@ -222,7 +170,7 @@ echo "=== isolation smoke: protected VM vs bullies, QoS bound ==="
 # stalls must land on the bullies (mc_throttle_stalls present only in
 # the QoS envelope, and only on bully VMs).
 iso_dir="$(mktemp -d)"
-trap 'rm -rf "$ckpt_dir" "$par_dir" "$scale_dir" "$iso_dir"' EXIT
+trap 'rm -rf "$ckpt_dir" "$scale_dir" "$big_dir" "$iso_dir"' EXIT
 # Fully-shared LLC: with the default 4-core groups the bullies never
 # touch the protected VM's bank and the way restriction is pure loss.
 iso_args=(--vm jbb --vm bully --vm bully --vm bully
@@ -267,7 +215,7 @@ echo "=== dyn-sched smoke: migration beats static on the bursty mix ==="
 # resumed across migration epochs must match the uninterrupted run
 # byte-for-byte.
 dyn_dir="$(mktemp -d)"
-trap 'rm -rf "$ckpt_dir" "$par_dir" "$scale_dir" "$iso_dir" "$dyn_dir"' EXIT
+trap 'rm -rf "$ckpt_dir" "$scale_dir" "$big_dir" "$iso_dir" "$dyn_dir"' EXIT
 dyn_args=(--vm bursty --vm bursty --vm bursty --vm-threads 4,4,4
     --sharing 2 --l2 2097152
     --warmup 200000 --measure 1200000 --watchdog 200000)
@@ -411,26 +359,11 @@ if [[ "$skip_tsan" == 1 ]]; then
     exit 0
 fi
 
-echo "=== tsan: thread pool + parallel sweep + tile-parallel core ==="
+echo "=== tsan: thread pool + parallel sweep ==="
 cmake -B build-tsan -S . -DCONSIM_SAN=thread >/dev/null
 cmake --build build-tsan -j "$(nproc)" \
-    --target test_determinism test_event_queue test_parallel_run \
-    consim_run
+    --target test_determinism test_event_queue
 (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
-    -R 'Determinism|CalendarQueue|ParallelRun')
-
-# The QoS hot paths (way-mask victim scans, VC reservation, MC token
-# buckets, the epoch repartitioner) must be race-free under the
-# tile-parallel engine: one isolation run with workers on.
-./build-tsan/tools/consim_run "${iso_args[@]}" --qos "$iso_qos" \
-    --run-jobs 4 >/dev/null
-echo "tsan: isolation run clean under --run-jobs 4"
-
-# Likewise the migration paths (epoch sampling, deferred rebinds at
-# the window boundary, the feedback loop): one migrating bursty run
-# with workers on.
-./build-tsan/tools/consim_run "${dyn_args[@]}" --dyn-sched "$dyn_spec" \
-    --run-jobs 4 >/dev/null
-echo "tsan: migrating run clean under --run-jobs 4"
+    -R 'Determinism|CalendarQueue')
 
 echo "=== ci.sh: all green ==="

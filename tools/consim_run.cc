@@ -63,10 +63,9 @@
  *     --resume PATH            resume a consim.ckpt.v5 snapshot; the
  *                              run config comes from the checkpoint
  *                              (exclusive with --mix/--vm/--seeds)
- *     --run-jobs N             worker threads inside each simulation
- *                              (tile-parallel event core; results are
- *                              byte-identical to serial; default
- *                              CONSIM_RUN_JOBS, 1)
+ *     --run-jobs N             ignored (runs are serial); still
+ *                              parsed strictly for one release, like
+ *                              CONSIM_RUN_JOBS
  *     --csv                    machine-readable per-VM output
  *     --dump-stats             full component statistics dump
  *     --json PATH              write the consim.run.v1 JSON envelope
@@ -124,7 +123,7 @@ usage(const char *msg = nullptr)
         "[--deadline N] [--fault PLAN] [--qos SPEC] "
         "[--dyn-sched SPEC]\n"
         "       [--ckpt-every N] [--ckpt-out PATH] [--resume PATH] "
-        "[--run-jobs N]\n"
+        "[--run-jobs N (ignored)]\n"
         "       [--json PATH]\n";
     std::exit(2);
 }
@@ -462,13 +461,6 @@ main(int argc, char **argv)
 
         consim::logging::setVerbose(false);
 
-        // runJobs never enters the checkpoint context, so thread the
-        // flag through the environment the resume driver resolves it
-        // from (a resume may use a different count than the original).
-        if (cfg.runJobs)
-            ::setenv("CONSIM_RUN_JOBS",
-                     std::to_string(cfg.runJobs).c_str(), 1);
-
         std::ifstream in(resume_path);
         if (!in) {
             std::cerr << "error: cannot open checkpoint "
@@ -630,7 +622,8 @@ main(int argc, char **argv)
                                 : defaultWatchdogIntervalCycles());
     if (cfg.cycleDeadline != 0)
         sys.setCycleDeadline(cfg.cycleDeadline);
-    sys.setRunJobs(cfg.runJobs ? cfg.runJobs : defaultRunJobs());
+    if (cfg.runJobs == 0)
+        (void)defaultRunJobs(); // parsed strictly, ignored
     if (!cfg.faults.empty())
         sys.setFaultPlan(cfg.faults);
     if (cfg.qos.enabled())
