@@ -1,6 +1,6 @@
 /**
  * @file
- * Cache line base type and coherence state enums shared by the private
+ * Coherence state enums and per-slot protocol payloads of the private
  * (L0/L1) and last-level (L2) caches.
  */
 
@@ -73,22 +73,16 @@ toString(L2State s)
     return "?";
 }
 
-/** Common bookkeeping for any cache line; caches derive from this. */
-struct CacheLineBase
-{
-    BlockAddr tag = 0;          ///< block address stored in this slot
-    bool valid = false;
-    std::uint64_t lruStamp = 0; ///< last-touch stamp for LRU
-};
-
-/** A line in a private L0 or L1 cache. */
-struct PrivateCacheLine : CacheLineBase
+/** Protocol payload of a slot in a private L0 or L1 cache. Tag,
+ *  validity and LRU stamp live in the owning CacheArray. */
+struct PrivateCacheLine
 {
     L1State state = L1State::Invalid;
 };
 
-/** A line in an L2 partition bank. */
-struct L2CacheLine : CacheLineBase
+/** Protocol payload of a slot in an L2 partition bank (tag,
+ *  validity and LRU stamp live in the owning CacheArray). */
+struct L2CacheLine
 {
     L2State state = L2State::Invalid;
     bool dirty = false;          ///< modified relative to memory

@@ -19,7 +19,7 @@ namespace
 CacheGeometry
 dirCacheGeometry(const MachineConfig &cfg)
 {
-    // The CacheArray is a tag array here; one "line" per entry.
+    // One slot per cached directory entry.
     CacheGeometry g;
     g.sizeBytes = cfg.dirCacheEntries * blockBytes;
     g.assoc = cfg.dirCacheAssoc;
@@ -108,13 +108,12 @@ DirectorySlice::startTxn(Msg m)
 bool
 DirectorySlice::dirCacheAccess(BlockAddr block)
 {
-    if (auto *line = dirCache_.lookup(block)) {
-        dirCache_.touch(line);
+    if (const auto slot = dirCache_.find(block); slot != TagArray::npos) {
+        dirCache_.touch(slot);
         return true;
     }
-    auto *victim = dirCache_.victim(block);
     // Victim state lives in entries_; eviction is silent.
-    dirCache_.install(victim, block);
+    dirCache_.install(dirCache_.victim(block), block);
     return false;
 }
 

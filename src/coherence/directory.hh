@@ -217,10 +217,6 @@ class DirectorySlice
     friend class System;
     friend struct CkptAccess;
 
-    struct DirCacheLine : CacheLineBase
-    {
-    };
-
     struct Txn
     {
         Msg req;
@@ -261,7 +257,8 @@ class DirectorySlice
     /** Sparse directory state of the blocks this tile is home for:
      *  only non-Invalid entries are held, a missing one is Invalid. */
     BlockMap<DirEntry> entries_;
-    CacheArray<DirCacheLine> dirCache_;
+    /** Directory cache: tags only, one slot per cached entry. */
+    TagArray dirCache_;
     BlockMap<Txn> active_{128};
     WaitQueueMap<Msg> waiting_{128};
     DirSliceStats stats_;

@@ -36,9 +36,10 @@ L1Controller::access(BlockAddr block, bool is_write)
     PrivateCacheLine *l1line = l1_.lookup(block);
 
     if (!is_write) {
-        if (PrivateCacheLine *l0line = l0_.lookup(block)) {
+        if (const auto l0slot = l0_.find(block);
+            l0slot != TagArray::npos) {
             CONSIM_ASSERT(l1line, "L0 line without L1 line");
-            l0_.touch(l0line);
+            l0_.touch(l0slot);
             ++stats_.l0Hits;
             return {true, cfg.l0Latency};
         }
@@ -49,7 +50,7 @@ L1Controller::access(BlockAddr block, bool is_write)
             return {true, cfg.l0Latency + cfg.l1Latency};
         }
     } else if (l1line && l1line->state == L1State::Modified) {
-        const bool in_l0 = l0_.lookup(block) != nullptr;
+        const bool in_l0 = l0_.find(block) != TagArray::npos;
         l1_.touch(l1line);
         if (!in_l0)
             fillL0(block);
@@ -78,14 +79,13 @@ L1Controller::handle(const Msg &msg)
         PrivateCacheLine *line = l1_.lookup(msg.block);
         if (line == nullptr) {
             PrivateCacheLine *victim = l1_.victim(msg.block);
-            if (victim->valid) {
+            if (l1_.valid(victim)) {
+                const BlockAddr old = l1_.tagOf(victim);
                 if (victim->state == L1State::Modified) {
                     ++stats_.writebacks;
-                    sendToBank(MsgType::L1PutM, victim->tag);
+                    sendToBank(MsgType::L1PutM, old);
                 }
-                // Keep L0 c L1 inclusion.
-                if (auto *l0v = l0_.lookup(victim->tag))
-                    l0_.invalidate(l0v);
+                dropL0(old); // keep L0 c L1 inclusion
             }
             l1_.install(victim, msg.block);
             line = victim;
@@ -109,8 +109,7 @@ L1Controller::handle(const Msg &msg)
             CONSIM_ASSERT(line->state != L1State::Modified,
                           "Inv for a line this L1 owns");
             l1_.invalidate(line);
-            if (auto *l0line = l0_.lookup(msg.block))
-                l0_.invalidate(l0line);
+            dropL0(msg.block);
         }
         Msg ack;
         ack.type = MsgType::L1InvAck;
@@ -138,8 +137,7 @@ L1Controller::handle(const Msg &msg)
             wb.stale = false;
             if (msg.toInvalid) {
                 l1_.invalidate(line);
-                if (auto *l0line = l0_.lookup(msg.block))
-                    l0_.invalidate(l0line);
+                dropL0(msg.block);
             } else {
                 line->state = L1State::Shared;
             }
@@ -162,10 +160,15 @@ L1Controller::handle(const Msg &msg)
 void
 L1Controller::fillL0(BlockAddr block)
 {
-    if (l0_.lookup(block))
-        return;
-    PrivateCacheLine *victim = l0_.victim(block);
-    l0_.install(victim, block); // L0 evictions are silent (clean)
+    if (l0_.find(block) == TagArray::npos)
+        l0_.install(l0_.victim(block), block); // silent (clean) evict
+}
+
+void
+L1Controller::dropL0(BlockAddr block)
+{
+    if (const auto slot = l0_.find(block); slot != TagArray::npos)
+        l0_.invalidate(slot);
 }
 
 void
@@ -200,12 +203,10 @@ L1Controller::auditStuckMiss(Cycle now, Cycle limit) const
 void
 L1Controller::checkInvariants() const
 {
-    l0_.forEachLine([&](const PrivateCacheLine &l0line) {
-        if (!l0line.valid)
-            return;
-        CONSIM_ASSERT(l1_.lookup(l0line.tag) != nullptr,
+    l0_.forEachValid([&](std::uint64_t, BlockAddr block) {
+        CONSIM_ASSERT(l1_.lookup(block) != nullptr,
                       "L0 inclusion violated for block 0x", std::hex,
-                      l0line.tag);
+                      block);
     });
 }
 

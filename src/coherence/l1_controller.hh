@@ -113,9 +113,9 @@ class L1Controller
     void
     forEachL1Line(Fn &&fn) const
     {
-        l1_.forEachLine([&](const PrivateCacheLine &line) {
-            if (line.valid)
-                fn(line.tag, line.state);
+        l1_.forEachValid([&](BlockAddr block,
+                             const PrivateCacheLine &line) {
+            fn(block, line.state);
         });
     }
 
@@ -124,6 +124,8 @@ class L1Controller
     friend struct CkptAccess;
 
     void fillL0(BlockAddr block);
+    /** Invalidate @p block's L0 copy, if any (L0 c L1 inclusion). */
+    void dropL0(BlockAddr block);
     void sendToBank(MsgType t, BlockAddr block);
 
     struct Pending
@@ -137,7 +139,8 @@ class L1Controller
     Fabric &fab_;
     CoreId tile_;
     GroupId group_;
-    CacheArray<PrivateCacheLine> l0_;
+    /** The L0 is a tag filter over the L1: it holds no state. */
+    TagArray l0_;
     CacheArray<PrivateCacheLine> l1_;
     Pending pending_;
     std::function<void()> missDone_;

@@ -630,10 +630,10 @@ L2Bank::tryCompleteFill(BlockAddr block)
             [this, block] { fillRetry(block); });
         return;
     }
-    if (slot->valid) {
+    if (array_.valid(slot)) {
         if (slot->ownerCore >= 0) {
             // The victim's data lives dirty in a member L1.
-            const BlockAddr victim = globalOf(slot->tag);
+            const BlockAddr victim = globalOf(array_.tagOf(slot));
             t.phase = Phase::WaitVictimL1;
             t.victimBlock = victim;
             t.extractTarget = members_[slot->ownerCore];
@@ -668,10 +668,9 @@ L2Bank::installAndFinish(BlockAddr block)
     L2CacheLine *slot =
         mask == ~0ull ? array_.victim(localOf(block))
                       : array_.victimInWays(localOf(block), mask);
-    CONSIM_ASSERT(slot && !slot->valid,
-                  "no free slot at install time");
+    CONSIM_ASSERT(!array_.valid(slot), "no free slot at install time");
     if (CONSIM_CHECK_ACTIVE(Full)) {
-        const int way = array_.wayOf(localOf(block), slot);
+        const int way = array_.wayOf(slot);
         if (!((mask >> way) & 1))
             CONSIM_CHECK_FAIL("QoS way-mask violation: fill of block ",
                               block, " (vm ", fab_.vmOfBlock(block),
@@ -695,42 +694,27 @@ L2Bank::installAndFinish(BlockAddr block)
 L2CacheLine *
 L2Bank::pickVictim(BlockAddr block)
 {
-    // Scan the set ourselves: the generic victim() cannot see pins or
-    // per-block operation state. Only ways the owning VM's QoS mask
-    // allows are candidates (the mask is all-ones when off).
-    const BlockAddr local = localOf(block);
+    // The generic victim() cannot see pins or per-block operation
+    // state, so valid lines are offered oldest first until one is
+    // neither pinned nor busy; an invalid way needs no test (its
+    // payload was reset, so it is never pinned). Only ways the owning
+    // VM's QoS mask allows are candidates (all-ones when off).
     const std::uint64_t mask = fab_.qosWayMask(fab_.vmOfBlock(block));
-    L2CacheLine *best = nullptr;
-    int way = -1;
-    array_.forEachInSet(local, [&](L2CacheLine &line) {
-        ++way;
-        if (!((mask >> way) & 1))
-            return;
-        if (line.pinned)
-            return;
-        if (!line.valid) {
-            if (best == nullptr || best->valid)
-                best = &line;
-            return;
-        }
-        const BlockAddr gblock = globalOf(line.tag);
-        if (active_.contains(gblock) || wb_.contains(gblock))
-            return;
-        if (waiting_.has(gblock))
-            return;
-        if (best == nullptr ||
-            (best->valid && line.lruStamp < best->lruStamp))
-            best = &line;
-    });
-    return best;
+    return array_.victimIf(
+        localOf(block), mask,
+        [&](BlockAddr local, const L2CacheLine &line) {
+            const BlockAddr gblock = globalOf(local);
+            return !line.pinned && !active_.contains(gblock) &&
+                   !wb_.contains(gblock) && !waiting_.has(gblock);
+        });
 }
 
 void
 L2Bank::evictLineNow(L2CacheLine *line)
 {
-    CONSIM_ASSERT(line->valid && line->ownerCore < 0,
+    CONSIM_ASSERT(array_.valid(line) && line->ownerCore < 0,
                   "evicting an owned line");
-    const BlockAddr block = globalOf(line->tag);
+    const BlockAddr block = globalOf(array_.tagOf(line));
     line->presence.forEachSet([&](int i) {
         sendL1(MsgType::L1Inv, members_[i], block, false);
         ++stats_.backInvals;
@@ -814,9 +798,7 @@ L2Bank::sendDone(BlockAddr block)
 void
 L2Bank::checkInvariants() const
 {
-    array_.forEachLine([&](const L2CacheLine &line) {
-        if (!line.valid)
-            return;
+    array_.forEachValid([&](BlockAddr, const L2CacheLine &line) {
         // An owner must also be present.
         if (line.ownerCore >= 0) {
             CONSIM_ASSERT(line.presence.test(line.ownerCore),
@@ -827,10 +809,6 @@ L2Bank::checkInvariants() const
         }
         CONSIM_ASSERT(line.presence.count() <= groupSize_,
                       "presence bits exceed group size");
-        if (line.state == L2State::Shared)
-            CONSIM_ASSERT(!line.dirty || true,
-                          "unreachable"); // S may be dirty only
-                                          // transiently; tolerated
     });
 }
 

@@ -86,15 +86,23 @@ class L2Bank
         return active_.empty() && waiting_.empty() && wb_.empty();
     }
 
-    /** Walk all lines (replication/occupancy snapshots). The walker
-     *  receives the global block address alongside the line. */
+    /** Walk the valid lines (replication/occupancy snapshots). The
+     *  walker receives the global block address alongside the line. */
     template <typename Fn>
     void
-    forEachLine(Fn &&fn) const
+    forEachValidLine(Fn &&fn) const
     {
-        array_.forEachLine([&](const L2CacheLine &line) {
-            fn(line.valid ? globalOf(line.tag) : BlockAddr{0}, line);
+        array_.forEachValid([&](BlockAddr local,
+                                const L2CacheLine &line) {
+            fn(globalOf(local), line);
         });
+    }
+
+    /** @return @p block's line in this bank, or nullptr. */
+    const L2CacheLine *
+    findLine(BlockAddr block) const
+    {
+        return array_.lookup(localOf(block));
     }
 
     L2BankStats &bankStats() { return stats_; }

@@ -15,6 +15,7 @@ namespace
 {
 
 std::atomic<std::uint64_t> gAllocs{0};
+std::atomic<std::uint64_t> gBytes{0};
 std::atomic<int> gTrapBudget{0};
 
 /** Dump the offender's stack to stderr (raw addresses; feed them to
@@ -34,6 +35,7 @@ void *
 countedAlloc(std::size_t n)
 {
     gAllocs.fetch_add(1, std::memory_order_relaxed);
+    gBytes.fetch_add(n, std::memory_order_relaxed);
     if (gTrapBudget.load(std::memory_order_relaxed) > 0 &&
         gTrapBudget.fetch_sub(1, std::memory_order_relaxed) > 0)
         reportTrappedAlloc();
@@ -47,6 +49,7 @@ void *
 countedAlignedAlloc(std::size_t n, std::size_t align)
 {
     gAllocs.fetch_add(1, std::memory_order_relaxed);
+    gBytes.fetch_add(n, std::memory_order_relaxed);
     void *p = nullptr;
     if (posix_memalign(&p, align, n != 0 ? n : align) != 0)
         throw std::bad_alloc();
@@ -59,6 +62,12 @@ std::uint64_t
 allocCount()
 {
     return gAllocs.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+allocBytes()
+{
+    return gBytes.load(std::memory_order_relaxed);
 }
 
 void

@@ -17,7 +17,7 @@
  *  - unordered_map contents are written sorted by block key so the
  *    same machine state always produces the same text;
  *  - cache arrays are restored slot-index-exact: victim() picks the
- *    first invalid slot in set order (else the lowest lruStamp), so
+ *    first invalid slot in set order (else the lowest LRU stamp), so
  *    which slot holds which line is architecturally visible.
  */
 
@@ -169,65 +169,84 @@ struct CkptAccess
 {
     // --- cache arrays (slot-index-exact) ---
 
+    /** Records `[slot, tag, lru, extra...]` for the valid slots;
+     *  @p extra(slot, rec) appends a slot's payload fields. */
+    template <typename SaveExtra>
+    static Value
+    saveTags(const TagArray &a, SaveExtra &&extra)
+    {
+        Value lines = Value::array();
+        a.forEachValid([&](std::uint64_t i, BlockAddr tag) {
+            Value rec = Value::array();
+            rec.push(i);
+            rec.push(static_cast<std::uint64_t>(tag));
+            rec.push(a.lruStamp(i));
+            extra(i, rec);
+            lines.push(std::move(rec));
+        });
+        Value v = Value::object();
+        v.set("num_lines", a.numSlots());
+        v.set("stamp", a.stamp_);
+        v.set("lines", std::move(lines));
+        return v;
+    }
+
+    /** Inverse of saveTags: every slot not in @p v ends invalid. */
+    template <typename LoadExtra>
+    static void
+    loadTags(TagArray &a, const Value &v, LoadExtra &&extra)
+    {
+        CONSIM_ASSERT(get(v, "num_lines").asUint() == a.numSlots(),
+                      "checkpoint: cache geometry mismatch");
+        a.stamp_ = get(v, "stamp").asUint();
+        std::fill(a.key_.begin(), a.key_.end(), 0);
+        std::fill(a.lru_.begin(), a.lru_.end(), 0);
+        for (const Value &rec : get(v, "lines").items()) {
+            const std::uint64_t i = rec.at(0).asUint();
+            CONSIM_ASSERT(i < a.numSlots(),
+                          "checkpoint: line slot out of range");
+            a.key_[i] = rec.at(1).asUint() + 1;
+            a.lru_[i] = rec.at(2).asUint();
+            extra(i, rec);
+        }
+    }
+
     template <typename LineT, typename SaveExtra>
     static Value
     saveArray(const CacheArray<LineT> &a, SaveExtra &&extra)
     {
-        Value lines = Value::array();
-        for (std::size_t i = 0; i < a.lines_.size(); ++i) {
-            const LineT &l = a.lines_[i];
-            if (!l.valid)
-                continue;
-            Value rec = Value::array();
-            rec.push(static_cast<std::uint64_t>(i));
-            rec.push(static_cast<std::uint64_t>(l.tag));
-            rec.push(l.lruStamp);
-            extra(l, rec);
-            lines.push(std::move(rec));
-        }
-        Value v = Value::object();
-        v.set("num_lines", static_cast<std::uint64_t>(a.lines_.size()));
-        v.set("stamp", a.stamp_);
-        v.set("lines", std::move(lines));
-        return v;
+        return saveTags(a.tags_, [&](std::uint64_t i, Value &rec) {
+            extra(a.lines_[i], rec);
+        });
     }
 
     template <typename LineT, typename LoadExtra>
     static void
     loadArray(CacheArray<LineT> &a, const Value &v, LoadExtra &&extra)
     {
-        CONSIM_ASSERT(get(v, "num_lines").asUint() == a.lines_.size(),
-                      "checkpoint: cache geometry mismatch");
-        a.stamp_ = get(v, "stamp").asUint();
         std::fill(a.lines_.begin(), a.lines_.end(), LineT{});
-        for (const Value &rec : get(v, "lines").items()) {
-            const std::size_t i = rec.at(0).asUint();
-            CONSIM_ASSERT(i < a.lines_.size(),
-                          "checkpoint: line slot out of range");
-            LineT &l = a.lines_[i];
-            l.tag = rec.at(1).asUint();
-            l.valid = true;
-            l.lruStamp = rec.at(2).asUint();
-            extra(l, rec);
-        }
-        // lines_ was written directly; re-derive the SoA mirrors that
-        // lookup()/victim() actually scan.
-        a.rebuildIndex();
+        loadTags(a.tags_, v, [&](std::uint64_t i, const Value &rec) {
+            extra(a.lines_[i], rec);
+        });
     }
 
+    /** The L0 holds no state; its records keep the L1 layout with
+     *  the state field fixed at Invalid. */
     static Value
-    savePrivArray(const CacheArray<PrivateCacheLine> &a)
+    saveL0(const TagArray &a)
     {
-        return saveArray(a, [](const PrivateCacheLine &l, Value &rec) {
-            rec.push(static_cast<int>(l.state));
+        return saveTags(a, [](std::uint64_t, Value &rec) {
+            rec.push(static_cast<int>(L1State::Invalid));
         });
     }
 
     static void
-    loadPrivArray(CacheArray<PrivateCacheLine> &a, const Value &v)
+    loadL0(TagArray &a, const Value &v)
     {
-        loadArray(a, v, [](PrivateCacheLine &l, const Value &rec) {
-            l.state = static_cast<L1State>(asInt(rec.at(3)));
+        loadTags(a, v, [](std::uint64_t, const Value &rec) {
+            CONSIM_ASSERT(asInt(rec.at(3)) ==
+                              static_cast<int>(L1State::Invalid),
+                          "checkpoint: L0 line with a state");
         });
     }
 
@@ -441,8 +460,8 @@ struct CkptAccess
         p.push(l.pending_.isWrite);
         p.push(cyclesJson(l.pending_.start));
         Value v = Value::object();
-        v.set("l0", savePrivArray(l.l0_));
-        v.set("l1", savePrivArray(l.l1_));
+        v.set("l0", saveL0(l.l0_));
+        v.set("l1", cacheArrayToJson(l.l1_));
         v.set("pending", std::move(p));
         return v;
     }
@@ -450,8 +469,8 @@ struct CkptAccess
     static void
     loadL1(L1Controller &l, const Value &v)
     {
-        loadPrivArray(l.l0_, get(v, "l0"));
-        loadPrivArray(l.l1_, get(v, "l1"));
+        loadL0(l.l0_, get(v, "l0"));
+        cacheArrayFromJson(l.l1_, get(v, "l1"));
         const Value &p = get(v, "pending");
         l.pending_.active = p.at(0).boolean();
         l.pending_.block = p.at(1).asUint();
@@ -460,32 +479,6 @@ struct CkptAccess
     }
 
     // --- L2 banks ---
-
-    static Value
-    saveL2Array(const CacheArray<L2CacheLine> &a)
-    {
-        return saveArray(a, [](const L2CacheLine &l, Value &rec) {
-            rec.push(static_cast<int>(l.state));
-            rec.push(l.dirty);
-            rec.push(l.pinned);
-            rec.push(coreSetJson(l.presence));
-            rec.push(static_cast<int>(l.ownerCore));
-            rec.push(l.vm);
-        });
-    }
-
-    static void
-    loadL2Array(CacheArray<L2CacheLine> &a, const Value &v)
-    {
-        loadArray(a, v, [](L2CacheLine &l, const Value &rec) {
-            l.state = static_cast<L2State>(asInt(rec.at(3)));
-            l.dirty = rec.at(4).boolean();
-            l.pinned = rec.at(5).boolean();
-            l.presence = coreSetFromJson(rec.at(6));
-            l.ownerCore = static_cast<std::int16_t>(asInt(rec.at(7)));
-            l.vm = static_cast<VmId>(asInt(rec.at(8)));
-        });
-    }
 
     static Value
     saveBankTxn(const L2Bank::BankTxn &t)
@@ -581,7 +574,7 @@ struct CkptAccess
             extract.push(std::move(e));
         }
         Value v = Value::object();
-        v.set("array", saveL2Array(b.array_));
+        v.set("array", cacheArrayToJson(b.array_));
         v.set("active", std::move(active));
         v.set("waiting", saveMsgQueues(b.waiting_));
         v.set("wb", std::move(wb));
@@ -592,7 +585,7 @@ struct CkptAccess
     static void
     loadBank(L2Bank &b, const Value &v)
     {
-        loadL2Array(b.array_, get(v, "array"));
+        cacheArrayFromJson(b.array_, get(v, "array"));
         b.active_.clear();
         for (const Value &e : get(v, "active").items())
             b.active_[e.at(0).asUint()] = loadBankTxn(e.at(1));
@@ -632,8 +625,7 @@ struct CkptAccess
         Value v = Value::object();
         // The directory cache is timing state: a hit or miss on it
         // decides whether a transaction pays the off-chip fetch.
-        v.set("cache", saveArray(d.dirCache_,
-                                 [](const auto &, Value &) {}));
+        v.set("cache", cacheArrayToJson(d.dirCache_));
         v.set("active", std::move(active));
         v.set("waiting", saveMsgQueues(d.waiting_));
         return v;
@@ -642,8 +634,7 @@ struct CkptAccess
     static void
     loadDir(DirectorySlice &d, const Value &v)
     {
-        loadArray(d.dirCache_, get(v, "cache"),
-                  [](auto &, const Value &) {});
+        cacheArrayFromJson(d.dirCache_, get(v, "cache"));
         d.active_.clear();
         for (const Value &e : get(v, "active").items()) {
             DirectorySlice::Txn t;
@@ -1277,6 +1268,62 @@ struct CkptAccess
         s.statsRoot_.restoreState(get(m, "stats"));
     }
 };
+
+Value
+cacheArrayToJson(const CacheArray<PrivateCacheLine> &a)
+{
+    return CkptAccess::saveArray(
+        a, [](const PrivateCacheLine &l, Value &rec) {
+            rec.push(static_cast<int>(l.state));
+        });
+}
+
+void
+cacheArrayFromJson(CacheArray<PrivateCacheLine> &a, const Value &v)
+{
+    CkptAccess::loadArray(
+        a, v, [](PrivateCacheLine &l, const Value &rec) {
+            l.state = static_cast<L1State>(asInt(rec.at(3)));
+        });
+}
+
+Value
+cacheArrayToJson(const CacheArray<L2CacheLine> &a)
+{
+    return CkptAccess::saveArray(a, [](const L2CacheLine &l, Value &rec) {
+        rec.push(static_cast<int>(l.state));
+        rec.push(l.dirty);
+        rec.push(l.pinned);
+        rec.push(coreSetJson(l.presence));
+        rec.push(static_cast<int>(l.ownerCore));
+        rec.push(l.vm);
+    });
+}
+
+void
+cacheArrayFromJson(CacheArray<L2CacheLine> &a, const Value &v)
+{
+    CkptAccess::loadArray(a, v, [](L2CacheLine &l, const Value &rec) {
+        l.state = static_cast<L2State>(asInt(rec.at(3)));
+        l.dirty = rec.at(4).boolean();
+        l.pinned = rec.at(5).boolean();
+        l.presence = coreSetFromJson(rec.at(6));
+        l.ownerCore = static_cast<std::int16_t>(asInt(rec.at(7)));
+        l.vm = static_cast<VmId>(asInt(rec.at(8)));
+    });
+}
+
+Value
+cacheArrayToJson(const TagArray &a)
+{
+    return CkptAccess::saveTags(a, [](std::uint64_t, Value &) {});
+}
+
+void
+cacheArrayFromJson(TagArray &a, const Value &v)
+{
+    CkptAccess::loadTags(a, v, [](std::uint64_t, const Value &) {});
+}
 
 json::Value
 System::saveCheckpoint() const

@@ -35,12 +35,13 @@
  *
  * Entry points are System::saveCheckpoint / System::restoreCheckpoint
  * (core/system.hh); this header only exposes the protocol-message
- * codec, which tests reuse.
+ * and cache-array codecs, which tests reuse.
  */
 
 #ifndef CONSIM_CORE_CHECKPOINT_HH
 #define CONSIM_CORE_CHECKPOINT_HH
 
+#include "cache/cache_array.hh"
 #include "coherence/protocol.hh"
 #include "common/json.hh"
 
@@ -52,6 +53,21 @@ json::Value msgToJson(const Msg &m);
 
 /** Inverse of msgToJson. */
 Msg msgFromJson(const json::Value &v);
+
+/** Serialize a cache array slot-index-exact: the stamp counter plus
+ *  one `[slot, tag, lru, payload...]` record per valid slot. The
+ *  TagArray form is the directory cache's (no payload). */
+json::Value cacheArrayToJson(const CacheArray<PrivateCacheLine> &a);
+json::Value cacheArrayToJson(const CacheArray<L2CacheLine> &a);
+json::Value cacheArrayToJson(const TagArray &a);
+
+/** Inverse of cacheArrayToJson into an array of the same geometry;
+ *  slots without a record end invalid. */
+void cacheArrayFromJson(CacheArray<PrivateCacheLine> &a,
+                        const json::Value &v);
+void cacheArrayFromJson(CacheArray<L2CacheLine> &a,
+                        const json::Value &v);
+void cacheArrayFromJson(TagArray &a, const json::Value &v);
 
 } // namespace consim
 

@@ -822,9 +822,8 @@ System::replicationSnapshot() const
     std::vector<BlockAddr> blocks;
     blocks.reserve(cfg_.l2TotalBytes / blockBytes);
     for (const auto &b : banks_) {
-        b->forEachLine([&](BlockAddr block, const L2CacheLine &line) {
-            if (line.valid)
-                blocks.push_back(block);
+        b->forEachValidLine([&](BlockAddr block, const L2CacheLine &) {
+            blocks.push_back(block);
         });
     }
     std::sort(blocks.begin(), blocks.end());
@@ -864,10 +863,8 @@ System::occupancySnapshot() const
     for (CoreId t = 0; t < cfg_.numCores(); ++t) {
         const GroupId g = groupOf_[t];
         snap.capacity[g] += lines_per_bank;
-        banks_[t]->forEachLine(
-            [&](BlockAddr block, const L2CacheLine &line) {
-                if (!line.valid)
-                    return;
+        banks_[t]->forEachValidLine(
+            [&](BlockAddr block, const L2CacheLine &) {
                 const VmId vm = vmOfBlock(block);
                 if (vm >= 0 && vm < static_cast<VmId>(vms_.size()))
                     ++snap.lines[g][vm];
@@ -912,10 +909,8 @@ System::checkGlobalCoherence() const
     std::unordered_map<BlockAddr, Copy> copies;
     for (CoreId t = 0; t < cfg_.numCores(); ++t) {
         const GroupId g = groupOf_[t];
-        banks_[t]->forEachLine(
+        banks_[t]->forEachValidLine(
             [&](BlockAddr block, const L2CacheLine &line) {
-                if (!line.valid)
-                    return;
                 auto &c = copies[block];
                 CONSIM_ASSERT(!c.groups.test(g),
                               "two copies of block in one partition");
@@ -985,24 +980,16 @@ System::checkGlobalCoherence() const
     for (CoreId t = 0; t < cfg_.numCores(); ++t) {
         const GroupId g = groupOf_[t];
         l1s_[t]->forEachL1Line([&](BlockAddr block, L1State state) {
-            const CoreId bank_tile = bankTileFor(g, block);
-            bool covered = false;
-            banks_[bank_tile]->forEachLine(
-                [&](BlockAddr b, const L2CacheLine &line) {
-                    if (!line.valid || b != block)
-                        return;
-                    covered = true;
-                    if (state == L1State::Modified) {
-                        CONSIM_ASSERT(
-                            line.ownerCore >= 0,
-                            "L1 owner unknown to its bank, block 0x",
-                            std::hex, block);
-                    }
-                });
-            CONSIM_ASSERT(covered,
+            const L2CacheLine *line =
+                banks_[bankTileFor(g, block)]->findLine(block);
+            CONSIM_ASSERT(line != nullptr,
                           "L1 line not backed by its partition "
                           "(inclusion violated), block 0x",
                           std::hex, block, std::dec, " core ", t);
+            CONSIM_ASSERT(state != L1State::Modified ||
+                              line->ownerCore >= 0,
+                          "L1 owner unknown to its bank, block 0x",
+                          std::hex, block);
         });
     }
 }
@@ -1166,10 +1153,9 @@ System::auditSharerState() const
     std::unordered_map<BlockAddr, GroupSet> held;
     for (CoreId t = 0; t < cfg_.numCores(); ++t) {
         const GroupId g = groupOf_[t];
-        banks_[t]->forEachLine(
-            [&](BlockAddr block, const L2CacheLine &line) {
-                if (line.valid)
-                    held[block].set(g);
+        banks_[t]->forEachValidLine(
+            [&](BlockAddr block, const L2CacheLine &) {
+                held[block].set(g);
             });
     }
 
@@ -1290,10 +1276,8 @@ System::diagJson(const std::string &reason) const
     {
         std::vector<std::uint64_t> linesPerVm(vms_.size(), 0);
         for (const auto &b : banks_) {
-            b->forEachLine(
-                [&](BlockAddr block, const L2CacheLine &line) {
-                    if (!line.valid)
-                        return;
+            b->forEachValidLine(
+                [&](BlockAddr block, const L2CacheLine &) {
                     const VmId vm = vmOfBlock(block);
                     if (vm >= 0 &&
                         vm < static_cast<VmId>(vms_.size()))

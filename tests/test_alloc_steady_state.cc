@@ -14,6 +14,7 @@
 
 #include <cstdlib>
 
+#include "cache/cache_array.hh"
 #include "common/alloc_hook.hh"
 #include "core/experiment.hh"
 #include "core/mix.hh"
@@ -143,4 +144,78 @@ TEST(AllocSteadyState, SaturatedHotspotMeshIsAllocationFree)
     EXPECT_GE(delivered - warm, 20'000u / 5 - 1);
     EXPECT_FALSE(mesh.idle());
     mesh.checkConservation();
+}
+
+// ---------------------------------------------------------------- //
+// Deterministic footprint: bytes requested from operator new.      //
+// ---------------------------------------------------------------- //
+
+namespace
+{
+
+/** @return bytes constructing @p make's result allocates, divided by
+ *  @p slots. */
+template <typename Make>
+double
+bytesPerSlot(std::uint64_t slots, Make &&make)
+{
+    const std::uint64_t before = allocBytes();
+    const auto array = make();
+    return static_cast<double>(allocBytes() - before) /
+           static_cast<double>(slots);
+}
+
+} // namespace
+
+TEST(AllocFootprint, CacheArraysStoreEachSlotOnce)
+{
+    // A slot's tag, valid bit and LRU stamp are 16 bytes in the
+    // TagArray; payloads add the L1 state byte or the 32-byte L2
+    // line, nothing more.
+    const MachineConfig m;
+    const auto geom = [](std::uint64_t bytes, int assoc) {
+        CacheGeometry g;
+        g.sizeBytes = bytes;
+        g.assoc = assoc;
+        return g;
+    };
+    const CacheGeometry dir = geom(m.dirCacheEntries * blockBytes,
+                                   m.dirCacheAssoc);
+    const CacheGeometry l1 = geom(m.l1Bytes, m.l1Assoc);
+    const CacheGeometry l2 =
+        geom(m.l2TotalBytes / static_cast<std::uint64_t>(m.numCores()),
+             m.l2Assoc); // one bank
+    EXPECT_EQ(bytesPerSlot(dir.numLines(),
+                           [&] { return TagArray(dir); }),
+              16.0);
+    EXPECT_LE(bytesPerSlot(l1.numLines(),
+                           [&] {
+                               return CacheArray<PrivateCacheLine>(l1);
+                           }),
+              17.0);
+    EXPECT_LE(bytesPerSlot(l2.numLines(),
+                           [&] { return CacheArray<L2CacheLine>(l2); }),
+              48.0);
+}
+
+TEST(AllocFootprint, Scale256SystemBuildBytesArePinned)
+{
+    // The 256-core, 1.5x over-committed Mix 1 machine of the scale
+    // study (bench/fig16_scale256). The bytes its constructor
+    // requests are deterministic, unlike host RSS, so growth in any
+    // per-tile structure shows here. Re-pin when a change moves it
+    // out of the 5% window.
+    constexpr std::uint64_t pinned = 223'919'408;
+    RunConfig cfg = mixConfig(Mix::byName("Mix 1"),
+                              SchedPolicy::Affinity,
+                              SharingDegree::Shared16);
+    cfg.machine.meshX = 16;
+    cfg.machine.meshY = 16;
+    cfg.vmThreads = {96, 96, 96, 96};
+    ExperimentRig rig = buildExperimentRig(cfg);
+    const std::uint64_t before = allocBytes();
+    const System sys(cfg.machine, rig.vms, rig.placements);
+    const std::uint64_t built = allocBytes() - before;
+    EXPECT_LE(built, pinned) << built << " bytes";
+    EXPECT_GE(built, pinned / 100 * 95) << built << " bytes";
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/cache_array.hh"
 #include "cache/cache_line.hh"
 #include "cache/mshr.hh"
@@ -37,12 +39,12 @@ TEST(CacheArray, MissThenHit)
     EXPECT_EQ(c.lookup(5), nullptr);
     auto *v = c.victim(5);
     ASSERT_NE(v, nullptr);
-    EXPECT_FALSE(v->valid);
+    EXPECT_FALSE(c.valid(v));
     c.install(v, 5);
     auto *hit = c.lookup(5);
     ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->tag, 5u);
-    EXPECT_TRUE(hit->valid);
+    EXPECT_EQ(c.tagOf(hit), 5u);
+    EXPECT_TRUE(c.valid(hit));
 }
 
 TEST(CacheArray, SetConflictEvictsLru)
@@ -52,14 +54,14 @@ TEST(CacheArray, SetConflictEvictsLru)
     ASSERT_EQ(c.geometry().numSets(), 32u);
     for (BlockAddr b : {1u, 33u}) {
         auto *v = c.victim(b);
-        ASSERT_FALSE(v->valid);
+        ASSERT_FALSE(c.valid(v));
         c.install(v, b);
     }
     // Touch 1 so that 33 is LRU.
     c.touch(c.lookup(1));
     auto *v = c.victim(65);
-    ASSERT_TRUE(v->valid);
-    EXPECT_EQ(v->tag, 33u);
+    ASSERT_TRUE(c.valid(v));
+    EXPECT_EQ(c.tagOf(v), 33u);
 }
 
 TEST(CacheArray, TouchUpdatesLru)
@@ -69,7 +71,7 @@ TEST(CacheArray, TouchUpdatesLru)
     c.install(c.victim(33), 33);
     c.touch(c.lookup(33));
     c.touch(c.lookup(1));
-    EXPECT_EQ(c.victim(65)->tag, 33u);
+    EXPECT_EQ(c.tagOf(c.victim(65)), 33u);
 }
 
 TEST(CacheArray, InvalidateFreesSlot)
@@ -105,18 +107,31 @@ TEST(CacheArray, CountValidAndIteration)
         c.install(c.victim(b), b);
     EXPECT_EQ(c.countValid(), 10u);
     std::uint64_t seen = 0;
-    c.forEachLine([&](const PrivateCacheLine &l) {
-        seen += l.valid ? 1 : 0;
+    BlockAddr sum = 0;
+    c.forEachValid([&](BlockAddr tag, const PrivateCacheLine &) {
+        ++seen;
+        sum += tag;
     });
     EXPECT_EQ(seen, 10u);
+    EXPECT_EQ(sum, 45u);
 }
 
-TEST(CacheArray, ForEachInSetVisitsAssocLines)
+TEST(CacheArray, VictimIfOffersOnlyTheSetsValidLines)
 {
+    // 4-way, 16 sets: fill set 3 with blocks 3, 19, 35, 51 and
+    // refuse every line, so each of them is offered exactly once.
     CacheArray<L2CacheLine> c(geo(4096, 4));
-    int n = 0;
-    c.forEachInSet(3, [&](L2CacheLine &) { ++n; });
-    EXPECT_EQ(n, 4);
+    for (BlockAddr b = 3; b < 64; b += 16)
+        c.install(c.victim(b), b);
+    c.install(c.victim(4), 4); // another set: never offered
+    std::vector<BlockAddr> offered;
+    EXPECT_EQ(c.victimIf(3, ~0ull,
+                         [&](BlockAddr tag, const L2CacheLine &) {
+                             offered.push_back(tag);
+                             return false;
+                         }),
+              nullptr);
+    EXPECT_EQ(offered, (std::vector<BlockAddr>{3, 19, 35, 51}));
 }
 
 TEST(CacheArray, DistinctSetsDoNotConflict)
@@ -127,7 +142,7 @@ TEST(CacheArray, DistinctSetsDoNotConflict)
     for (std::uint64_t s = 0; s < sets; ++s) {
         for (int w = 0; w < 2; ++w) {
             auto *v = c.victim(s + w * sets);
-            ASSERT_FALSE(v->valid);
+            ASSERT_FALSE(c.valid(v));
             c.install(v, s + w * sets);
         }
     }

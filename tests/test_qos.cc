@@ -188,37 +188,37 @@ TEST(VictimInWays, RestrictsReplacementToMaskedWays)
     CacheGeometry geom;
     geom.sizeBytes = static_cast<std::uint64_t>(blockBytes) * 16;
     geom.assoc = 8;
-    CacheArray<CacheLineBase> array(geom);
+    TagArray array(geom);
 
     // Empty set: the first masked way wins, not way 0.
-    CacheLineBase *slot = array.victimInWays(0, 0xF0);
-    EXPECT_EQ(array.wayOf(0, slot), 4);
+    std::uint64_t slot = array.victimInWays(0, 0xF0);
+    EXPECT_EQ(array.wayOf(slot), 4);
 
     // Fill the set with blocks 0, 2, 4, ... (set 0 of 2), touching in
     // install order so way 0 holds the globally-LRU line.
     for (int w = 0; w < 8; ++w) {
-        CacheLineBase *v = array.victim(2 * w);
+        const std::uint64_t v = array.victim(2 * w);
         array.install(v, 2 * w);
-        EXPECT_EQ(array.wayOf(2 * w, v), w);
+        EXPECT_EQ(array.wayOf(v), w);
     }
 
     // Unrestricted: victimInWays(all ways) agrees with victim().
     EXPECT_EQ(array.victimInWays(16, 0xFF), array.victim(16));
-    EXPECT_EQ(array.wayOf(16, array.victim(16)), 0);
+    EXPECT_EQ(array.wayOf(array.victim(16)), 0);
 
     // Restricted to the high half: the masked LRU (way 4), even
     // though ways 0..3 hold strictly older lines.
     slot = array.victimInWays(16, 0xF0);
-    EXPECT_EQ(array.wayOf(16, slot), 4);
+    EXPECT_EQ(array.wayOf(slot), 4);
 
     // Refresh way 4; the masked LRU moves to way 5.
-    array.touch(array.lookup(2 * 4));
+    array.touch(array.find(2 * 4));
     slot = array.victimInWays(16, 0xF0);
-    EXPECT_EQ(array.wayOf(16, slot), 5);
+    EXPECT_EQ(array.wayOf(slot), 5);
 
     // A single-way mask is a direct-mapped partition.
     slot = array.victimInWays(16, 1u << 7);
-    EXPECT_EQ(array.wayOf(16, slot), 7);
+    EXPECT_EQ(array.wayOf(slot), 7);
 
     // An empty mask is a wiring bug: recoverable invariant failure.
     ScopedCheckLevel lvl(check::Level::Basic);
