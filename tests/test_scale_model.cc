@@ -25,6 +25,7 @@
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "core/system.hh"
+#include "fnv1a.hh"
 #include "noc/mesh.hh"
 #include "noc/network.hh"
 #include "noc/routing.hh"
@@ -506,18 +507,6 @@ TEST(HeterogeneousVms, VmThreadsEchoOnlyWhenConfigured)
 }
 
 // --- golden 16-core envelope (byte-identity anchor) ---------------
-
-/** FNV-1a 64-bit over the exact bytes consim_run writes via --json. */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 struct GoldenPoint
 {
