@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/archive.hh"
+
 namespace consim
 {
 
@@ -235,94 +237,70 @@ Group::toJson() const
     return node;
 }
 
-json::Value
-Group::saveState() const
+template <class Ar, class G>
+void
+Group::stateIo(Ar &ar, G &g)
 {
-    json::Value node = json::Value::object();
-    json::Value sv = json::Value::object();
-    for (const auto &[k, s] : stats_) {
-        switch (s.kind) {
-          case StatKind::Counter:
-            sv.set(k, static_cast<const Counter *>(s.ptr)->value());
-            break;
-          case StatKind::Average: {
-            const auto *a = static_cast<const Average *>(s.ptr);
-            json::Value v = json::Value::object();
-            v.set("sum", a->sum());
-            v.set("count", a->count());
-            sv.set(k, std::move(v));
-            break;
-          }
-          case StatKind::Histogram: {
-            const auto *h = static_cast<const Histogram *>(s.ptr);
-            json::Value v = json::Value::object();
-            json::Value b = json::Value::array();
-            for (std::size_t i = 0; i < h->numBuckets(); ++i)
-                b.push(h->bucket(i));
-            v.set("buckets", std::move(b));
-            v.set("sum", h->rawSum());
-            v.set("count", h->count());
-            v.set("max", h->max());
-            sv.set(k, std::move(v));
-            break;
-          }
+    ar("stats", [&] {
+        for (const auto &[k, s] : g.stats_) {
+            switch (s.kind) {
+              case StatKind::Counter: {
+                auto *c = static_cast<Counter *>(s.ptr);
+                std::uint64_t value = c->value();
+                ar(k, value);
+                if constexpr (Ar::loading)
+                    c->restore(value);
+                break;
+              }
+              case StatKind::Average: {
+                auto *a = static_cast<Average *>(s.ptr);
+                double sum = a->sum();
+                std::uint64_t count = a->count();
+                ar(k, [&] {
+                    ar("sum", sum);
+                    ar("count", count);
+                });
+                if constexpr (Ar::loading)
+                    a->restore(sum, count);
+                break;
+              }
+              case StatKind::Histogram: {
+                auto *h = static_cast<Histogram *>(s.ptr);
+                std::vector<std::uint64_t> buckets;
+                for (std::size_t i = 0; i < h->numBuckets(); ++i)
+                    buckets.push_back(h->bucket(i));
+                std::uint64_t sum = h->rawSum();
+                std::uint64_t count = h->count();
+                std::uint64_t max = h->max();
+                ar(k, [&] {
+                    ar("buckets", buckets);
+                    ar("sum", sum);
+                    ar("count", count);
+                    ar("max", max);
+                });
+                if constexpr (Ar::loading)
+                    h->restore(buckets, sum, count, max);
+                break;
+              }
+            }
         }
-    }
-    node.set("stats", std::move(sv));
-    json::Value cv = json::Value::object();
-    for (const Group *c : children_)
-        cv.set(c->name_, c->saveState());
-    node.set("children", std::move(cv));
-    return node;
+    });
+    ar("children", [&] {
+        for (Group *c : g.children_)
+            ar(c->name_, [&] { stateIo(ar, *c); });
+    });
 }
 
 void
-Group::restoreState(const json::Value &v)
+Group::io(json::Saver &ar) const
 {
-    const json::Value *sv = v.find("stats");
-    CONSIM_ASSERT(sv != nullptr, "stat state missing for ", name_);
-    for (auto &[k, s] : stats_) {
-        const json::Value *e = sv->find(k);
-        CONSIM_ASSERT(e != nullptr, "stat '", k, "' missing in saved "
-                      "state for group ", name_);
-        switch (s.kind) {
-          case StatKind::Counter:
-            static_cast<Counter *>(s.ptr)->restore(e->asUint());
-            break;
-          case StatKind::Average: {
-            const json::Value *sum = e->find("sum");
-            const json::Value *count = e->find("count");
-            CONSIM_ASSERT(sum && count, "bad average state for ", k);
-            static_cast<Average *>(s.ptr)->restore(sum->number(),
-                                                   count->asUint());
-            break;
-          }
-          case StatKind::Histogram: {
-            const json::Value *b = e->find("buckets");
-            const json::Value *sum = e->find("sum");
-            const json::Value *count = e->find("count");
-            const json::Value *max = e->find("max");
-            CONSIM_ASSERT(b && sum && count && max,
-                          "bad histogram state for ", k);
-            std::vector<std::uint64_t> buckets;
-            buckets.reserve(b->size());
-            for (const auto &item : b->items())
-                buckets.push_back(item.asUint());
-            static_cast<Histogram *>(s.ptr)->restore(
-                buckets, sum->asUint(), count->asUint(),
-                max->asUint());
-            break;
-          }
-        }
-    }
-    const json::Value *cv = v.find("children");
-    CONSIM_ASSERT(cv != nullptr, "child state missing for ", name_);
-    for (Group *c : children_) {
-        const json::Value *e = cv->find(c->name_);
-        CONSIM_ASSERT(e != nullptr, "group '", c->name_,
-                      "' missing in saved state under ", name_);
-        c->restoreState(*e);
-    }
+    stateIo(ar, *this);
+}
+
+void
+Group::io(json::Loader &ar)
+{
+    stateIo(ar, *this);
 }
 
 const Group *

@@ -29,6 +29,14 @@
 namespace consim
 {
 
+namespace json
+{
+template <bool Loading>
+class Archive;
+using Saver = Archive<false>;
+using Loader = Archive<true>;
+} // namespace json
+
 namespace stats
 {
 
@@ -246,14 +254,14 @@ class Group
     json::Value toJson() const;
 
     /**
-     * Lossless raw dump of every stat in the subtree (toJson() is a
-     * summary — means and percentiles — and cannot be restored from).
-     * Used by the checkpoint layer; restoreState() walks the same
-     * tree and requires identical structure (same registration order,
-     * i.e. the same machine configuration).
+     * Checkpoint description of every stat in the subtree, raw and
+     * lossless (toJson() is a summary — means and percentiles — and
+     * cannot be restored from). Loading walks the same tree and
+     * requires identical structure (same registration, i.e. the same
+     * machine configuration).
      */
-    json::Value saveState() const;
-    void restoreState(const json::Value &v);
+    void io(json::Saver &ar) const;
+    void io(json::Loader &ar);
 
     // --- typed path lookup (paths relative to this Group, i.e.
     //     excluding its own name: root.findCounter("tile03.l1.misses")) ---
@@ -275,6 +283,9 @@ class Group
         StatKind kind;
         void *ptr;
     };
+
+    template <class Ar, class G>
+    static void stateIo(Ar &ar, G &g);
 
     void addStat(const std::string &stat_name, StatKind kind, void *p);
     const StatRef *findStat(std::string_view path, StatKind kind) const;

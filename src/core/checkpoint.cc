@@ -1,7 +1,8 @@
 /**
  * @file
- * `consim.ckpt.v5` serializer: System::saveCheckpoint /
- * System::restoreCheckpoint plus the protocol-message codec. See
+ * `consim.ckpt.v5` codec: one io() body per stateful component, run
+ * by a json::Saver for System::saveCheckpoint and by a json::Loader
+ * for System::restoreCheckpoint (common/archive.hh). See
  * checkpoint.hh for the document layout and the byte-identity
  * contract. (v2 replaced the single event sequence counter with the
  * per-source counters and per-event (src, seq) keys that fix each
@@ -10,22 +11,27 @@
  * All component access goes through CkptAccess, the single friend
  * every stateful class declares. Conventions:
  *
- *  - unsigned 64-bit quantities (cycles, tags, LRU stamps, RNG words,
- *    seq numbers) are written as Uint and read back with asUint(),
- *    which is exact; possibly-negative small integers (core ids,
- *    owners) are written as Int and read through number();
- *  - unordered_map contents are written sorted by block key so the
- *    same machine state always produces the same text;
+ *  - the archive picks each scalar's JSON kind from its C++ type, so
+ *    a field always travels with the same text;
+ *  - block-keyed maps are written sorted by block so the same machine
+ *    state always produces the same text;
  *  - cache arrays are restored slot-index-exact: victim() picks the
  *    first invalid slot in set order (else the lowest LRU stamp), so
- *    which slot holds which line is architecturally visible.
+ *    which slot holds which line is architecturally visible;
+ *  - restore targets a freshly constructed System built from the
+ *    same configuration: the containers its constructor sized must
+ *    match the document, and the dynamic state it leaves empty is
+ *    filled from it.
  */
 
 #include "core/checkpoint.hh"
 
 #include <algorithm>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -34,6 +40,7 @@
 #include "coherence/l1_controller.hh"
 #include "coherence/l2_bank.hh"
 #include "coherence/memory_controller.hh"
+#include "common/archive.hh"
 #include "common/check.hh"
 #include "core/system.hh"
 #include "core/vm.hh"
@@ -47,1301 +54,671 @@ namespace consim
 namespace
 {
 
-using json::Value;
-
-/** @return required member of a checkpoint object. */
-const Value &
-get(const Value &obj, std::string_view key)
-{
-    const Value *p = obj.find(key);
-    CONSIM_ASSERT(p != nullptr, "checkpoint: missing field \"",
-                  std::string(key), "\"");
-    return *p;
-}
-
-/** @return a (possibly negative) integral field. */
-std::int64_t
-asInt(const Value &v)
-{
-    return static_cast<std::int64_t>(v.number());
-}
-
-/** @return a block map's keys in ascending order. */
-template <typename V>
-std::vector<BlockAddr>
-sortedKeys(const BlockMap<V> &m)
-{
-    std::vector<BlockAddr> keys = m.keys();
-    std::sort(keys.begin(), keys.end());
-    return keys;
-}
-
-Value
-cyclesJson(Cycle c)
-{
-    return Value(static_cast<std::uint64_t>(c));
-}
-
-/** Sharer/presence sets serialize as trimmed little-endian word
- *  arrays, so the document layout is independent of machine width. */
-Value
-coreSetJson(const CoreSet &s)
-{
-    Value v = Value::array();
-    for (const std::uint64_t w : s.words())
-        v.push(w);
-    return v;
-}
-
-CoreSet
-coreSetFromJson(const Value &v)
-{
-    std::vector<std::uint64_t> words;
-    words.reserve(v.size());
-    for (const Value &w : v.items())
-        words.push_back(w.asUint());
-    return CoreSet::fromWords(words);
-}
+/** @p S is @p T, possibly const (a Saver describes const state). */
+template <class S, class T>
+concept Is = std::same_as<std::remove_const_t<S>, T>;
 
 } // namespace
 
-json::Value
-msgToJson(const Msg &m)
-{
-    Value v = Value::array();
-    v.push(static_cast<int>(m.type));
-    v.push(static_cast<std::uint64_t>(m.block));
-    v.push(m.srcTile);
-    v.push(m.dstTile);
-    v.push(static_cast<int>(m.srcUnit));
-    v.push(static_cast<int>(m.dstUnit));
-    v.push(m.reqCore);
-    v.push(m.reqBankTile);
-    v.push(m.reqGroup);
-    v.push(m.vm);
-    v.push(m.isWrite);
-    v.push(m.dirtyData);
-    v.push(m.noDataNeeded);
-    v.push(m.c2cTransfer);
-    v.push(m.stale);
-    v.push(m.toInvalid);
-    v.push(m.overlappedFetch);
-    v.push(static_cast<int>(m.grantState));
-    v.push(static_cast<int>(m.ackCount));
-    v.push(static_cast<std::uint64_t>(m.injectCycle));
-    return v;
-}
-
-Msg
-msgFromJson(const json::Value &v)
-{
-    CONSIM_ASSERT(v.size() == 20, "checkpoint: bad message record");
-    Msg m;
-    m.type = static_cast<MsgType>(asInt(v.at(0)));
-    m.block = v.at(1).asUint();
-    m.srcTile = static_cast<CoreId>(asInt(v.at(2)));
-    m.dstTile = static_cast<CoreId>(asInt(v.at(3)));
-    m.srcUnit = static_cast<Unit>(asInt(v.at(4)));
-    m.dstUnit = static_cast<Unit>(asInt(v.at(5)));
-    m.reqCore = static_cast<CoreId>(asInt(v.at(6)));
-    m.reqBankTile = static_cast<CoreId>(asInt(v.at(7)));
-    m.reqGroup = static_cast<GroupId>(asInt(v.at(8)));
-    m.vm = static_cast<VmId>(asInt(v.at(9)));
-    m.isWrite = v.at(10).boolean();
-    m.dirtyData = v.at(11).boolean();
-    m.noDataNeeded = v.at(12).boolean();
-    m.c2cTransfer = v.at(13).boolean();
-    m.stale = v.at(14).boolean();
-    m.toInvalid = v.at(15).boolean();
-    m.overlappedFetch = v.at(16).boolean();
-    m.grantState = static_cast<L2State>(asInt(v.at(17)));
-    m.ackCount = static_cast<std::int16_t>(asInt(v.at(18)));
-    m.injectCycle = v.at(19).asUint();
-    return m;
-}
-
 /**
- * The one class every stateful component befriends. Static helpers
- * only; each saveX returns the JSON for one component, each loadX
- * restores it into a freshly constructed counterpart.
+ * The one class every stateful component befriends. Each io() is
+ * that component's whole checkpoint description, for both
+ * directions.
  */
 struct CkptAccess
 {
+    /** @return a callable describing @p x as a nested node. */
+    template <class Ar, class T>
+    static auto
+    node(Ar &ar, T &x)
+    {
+        return [&ar, &x] { io(ar, x); };
+    }
+
+    /** A protocol message is one fixed-position record. */
+    template <class Ar, Is<Msg> M>
+    static void
+    io(Ar &ar, M &m)
+    {
+        if constexpr (Ar::loading)
+            CONSIM_ASSERT(ar.size() == 20, "checkpoint: bad message record");
+        ar.rec(m.type, m.block, m.srcTile, m.dstTile, m.srcUnit,
+               m.dstUnit, m.reqCore, m.reqBankTile, m.reqGroup, m.vm,
+               m.isWrite, m.dirtyData, m.noDataNeeded, m.c2cTransfer,
+               m.stale, m.toInvalid, m.overlappedFetch, m.grantState,
+               m.ackCount, m.injectCycle);
+    }
+
     // --- cache arrays (slot-index-exact) ---
 
-    /** Records `[slot, tag, lru, extra...]` for the valid slots;
-     *  @p extra(slot, rec) appends a slot's payload fields. */
-    template <typename SaveExtra>
-    static Value
-    saveTags(const TagArray &a, SaveExtra &&extra)
-    {
-        Value lines = Value::array();
-        a.forEachValid([&](std::uint64_t i, BlockAddr tag) {
-            Value rec = Value::array();
-            rec.push(i);
-            rec.push(static_cast<std::uint64_t>(tag));
-            rec.push(a.lruStamp(i));
-            extra(i, rec);
-            lines.push(std::move(rec));
-        });
-        Value v = Value::object();
-        v.set("num_lines", a.numSlots());
-        v.set("stamp", a.stamp_);
-        v.set("lines", std::move(lines));
-        return v;
-    }
-
-    /** Inverse of saveTags: every slot not in @p v ends invalid. */
-    template <typename LoadExtra>
+    /** The stamp counter plus one `[slot, tag, lru, payload...]`
+     *  record per valid slot; @p payload(slot) appends the rest.
+     *  Slots without a record end invalid. */
+    template <class Ar, Is<TagArray> A, class Payload>
     static void
-    loadTags(TagArray &a, const Value &v, LoadExtra &&extra)
+    tags(Ar &ar, A &a, Payload &&payload)
     {
-        CONSIM_ASSERT(get(v, "num_lines").asUint() == a.numSlots(),
+        std::uint64_t n = a.numSlots();
+        ar("num_lines", n);
+        CONSIM_ASSERT(n == a.numSlots(),
                       "checkpoint: cache geometry mismatch");
-        a.stamp_ = get(v, "stamp").asUint();
-        std::fill(a.key_.begin(), a.key_.end(), 0);
-        std::fill(a.lru_.begin(), a.lru_.end(), 0);
-        for (const Value &rec : get(v, "lines").items()) {
-            const std::uint64_t i = rec.at(0).asUint();
+        ar("stamp", a.stamp_);
+        std::vector<std::uint64_t> valid;
+        if constexpr (Ar::loading) {
+            std::fill(a.key_.begin(), a.key_.end(), 0);
+            std::fill(a.lru_.begin(), a.lru_.end(), 0);
+        } else {
+            a.forEachValid(
+                [&](std::uint64_t i, BlockAddr) { valid.push_back(i); });
+        }
+        ar.seq("lines", valid, [&](std::uint64_t &i) {
+            ar.rec(i);
             CONSIM_ASSERT(i < a.numSlots(),
                           "checkpoint: line slot out of range");
-            a.key_[i] = rec.at(1).asUint() + 1;
-            a.lru_[i] = rec.at(2).asUint();
-            extra(i, rec);
-        }
-    }
-
-    template <typename LineT, typename SaveExtra>
-    static Value
-    saveArray(const CacheArray<LineT> &a, SaveExtra &&extra)
-    {
-        return saveTags(a.tags_, [&](std::uint64_t i, Value &rec) {
-            extra(a.lines_[i], rec);
+            std::uint64_t tag = a.key_[i] - 1;
+            ar.rec(tag, a.lru_[i]);
+            if constexpr (Ar::loading)
+                a.key_[i] = tag + 1;
+            payload(i);
         });
     }
 
-    template <typename LineT, typename LoadExtra>
+    /** The directory cache: tags only. */
+    template <class Ar, Is<TagArray> A>
     static void
-    loadArray(CacheArray<LineT> &a, const Value &v, LoadExtra &&extra)
+    io(Ar &ar, A &a)
     {
-        std::fill(a.lines_.begin(), a.lines_.end(), LineT{});
-        loadTags(a.tags_, v, [&](std::uint64_t i, const Value &rec) {
-            extra(a.lines_[i], rec);
-        });
+        tags(ar, a, [](std::uint64_t) {});
     }
 
-    /** The L0 holds no state; its records keep the L1 layout with
-     *  the state field fixed at Invalid. */
-    static Value
-    saveL0(const TagArray &a)
-    {
-        return saveTags(a, [](std::uint64_t, Value &rec) {
-            rec.push(static_cast<int>(L1State::Invalid));
-        });
-    }
-
+    /** A cache array: its tag slots, each valid one followed by the
+     *  line's protocol payload. */
+    template <class Ar, class A>
+        requires Is<A, CacheArray<PrivateCacheLine>> ||
+                 Is<A, CacheArray<L2CacheLine>>
     static void
-    loadL0(TagArray &a, const Value &v)
+    io(Ar &ar, A &a)
     {
-        loadTags(a, v, [](std::uint64_t, const Value &rec) {
-            CONSIM_ASSERT(asInt(rec.at(3)) ==
-                              static_cast<int>(L1State::Invalid),
-                          "checkpoint: L0 line with a state");
-        });
+        if constexpr (Ar::loading)
+            std::fill(a.lines_.begin(), a.lines_.end(),
+                      typename decltype(a.lines_)::value_type{});
+        tags(ar, a.tags_,
+             [&](std::uint64_t i) { io(ar, a.lines_[i]); });
+    }
+
+    template <class Ar, Is<PrivateCacheLine> L>
+    static void
+    io(Ar &ar, L &l)
+    {
+        ar.rec(l.state);
+    }
+
+    template <class Ar, Is<L2CacheLine> L>
+    static void
+    io(Ar &ar, L &l)
+    {
+        // Sharer/presence sets travel as trimmed little-endian word
+        // arrays, so the layout is independent of machine width.
+        std::vector<std::uint64_t> presence = l.presence.words();
+        ar.rec(l.state, l.dirty, l.pinned, presence, l.ownerCore, l.vm);
+        if constexpr (Ar::loading)
+            l.presence = CoreSet::fromWords(presence);
     }
 
     // --- event queue ---
 
-    static Value
-    saveEvents(const System &s)
-    {
-        struct Rec
-        {
-            Cycle when;
-            const SimEvent *ev;
-        };
-        std::vector<Rec> recs;
-        s.events_.forEachPending(
-            s.now_, [&](Cycle when, const SimEvent &ev) {
-                if (ev.kind == SimEventKind::Opaque)
-                    throw SimError(
-                        SimErrorKind::Invariant,
-                        "cannot checkpoint: opaque event pending "
-                        "(scheduled via the closure escape hatch)");
-                recs.push_back(Rec{when, &ev});
-            });
-        // Canonical (when, src, seq) order: the same machine state
-        // always serializes to the same text.
-        std::sort(recs.begin(), recs.end(),
-                  [](const Rec &a, const Rec &b) {
-                      return a.when != b.when
-                                 ? a.when < b.when
-                                 : SimEvent::keyLess(*a.ev, *b.ev);
-                  });
-        Value pending = Value::array();
-        for (const Rec &r : recs) {
-            Value rec = Value::array();
-            rec.push(cyclesJson(r.when));
-            rec.push(r.ev->src);
-            rec.push(r.ev->seq);
-            rec.push(static_cast<int>(r.ev->kind));
-            rec.push(r.ev->tile);
-            rec.push(static_cast<std::uint64_t>(r.ev->block));
-            if (r.ev->kind == SimEventKind::Deliver ||
-                r.ev->kind == SimEventKind::MemDone ||
-                r.ev->kind == SimEventKind::NetDeliver)
-                rec.push(msgToJson(r.ev->msg));
-            pending.push(std::move(rec));
-        }
-        Value seqs = Value::array();
-        for (std::uint64_t c : s.seqBySrc_)
-            seqs.push(c);
-        Value v = Value::object();
-        v.set("seq_by_src", std::move(seqs));
-        v.set("executed", s.events_.executed());
-        v.set("pending", std::move(pending));
-        return v;
-    }
-
+    template <class Ar, Is<System> S>
     static void
-    loadEvents(System &s, const Value &v)
+    events(Ar &ar, S &s)
     {
-        const Value &seqs = get(v, "seq_by_src");
-        CONSIM_ASSERT(seqs.size() == s.seqBySrc_.size(),
-                      "checkpoint: sequence-counter count mismatch");
-        for (std::size_t i = 0; i < s.seqBySrc_.size(); ++i)
-            s.seqBySrc_[i] = seqs.at(i).asUint();
-        s.events_.setExecuted(get(v, "executed").asUint());
-        for (const Value &rec : get(v, "pending").items()) {
-            SimEvent ev;
-            ev.src = static_cast<std::int32_t>(asInt(rec.at(1)));
-            ev.seq = rec.at(2).asUint();
-            ev.kind = static_cast<SimEventKind>(asInt(rec.at(3)));
-            ev.tile = static_cast<CoreId>(asInt(rec.at(4)));
-            ev.block = rec.at(5).asUint();
-            if (rec.size() > 6)
-                ev.msg = msgFromJson(rec.at(6));
-            s.events_.insertAbs(s.now_, rec.at(0).asUint(),
-                                std::move(ev));
+        ar("seq_by_src", s.seqBySrc_);
+        std::uint64_t executed = s.events_.executed();
+        ar("executed", executed);
+        std::vector<std::pair<Cycle, SimEvent>> pending;
+        if constexpr (!Ar::loading) {
+            s.events_.forEachPending(
+                s.now_, [&](Cycle when, const SimEvent &ev) {
+                    if (ev.kind == SimEventKind::Opaque)
+                        throw SimError(
+                            SimErrorKind::Invariant,
+                            "cannot checkpoint: opaque event pending "
+                            "(scheduled via the closure escape hatch)");
+                    SimEvent copy(ev.kind, ev.msg);
+                    copy.tile = ev.tile;
+                    copy.block = ev.block;
+                    copy.src = ev.src;
+                    copy.seq = ev.seq;
+                    pending.emplace_back(when, std::move(copy));
+                });
+            // Canonical (when, src, seq) order: the same machine state
+            // always serializes to the same text.
+            std::sort(pending.begin(), pending.end(),
+                      [](const auto &a, const auto &b) {
+                          return a.first != b.first
+                                     ? a.first < b.first
+                                     : SimEvent::keyLess(a.second,
+                                                         b.second);
+                      });
+        }
+        ar.seq("pending", pending, [&](auto &p) {
+            SimEvent &ev = p.second;
+            ar.rec(p.first, ev.src, ev.seq, ev.kind, ev.tile, ev.block);
+            if (ev.kind == SimEventKind::Deliver ||
+                ev.kind == SimEventKind::MemDone ||
+                ev.kind == SimEventKind::NetDeliver)
+                ar.rec(node(ar, ev.msg));
+        });
+        if constexpr (Ar::loading) {
+            s.events_.setExecuted(executed);
+            // The clock is already restored: insertAbs checks every
+            // due cycle against it.
+            for (auto &[when, ev] : pending)
+                s.events_.insertAbs(s.now_, when, std::move(ev));
         }
     }
 
     // --- cores ---
 
-    /** Recover a thread index from a stream pointer; the binding is
-     *  restored by index into the same VM set. */
-    static int
-    threadIndexOf(const System &s, VmId vm, const InstrStream *stream,
-                  CoreId tile)
+    /** A thread binding travels as (vm, thread index), restored by
+     *  index into the same VM set; unbound is (-1, -1). */
+    template <class Ar, Is<System> S, class Vm, class Stream>
+    static void
+    binding(Ar &ar, S &s, const char *vm_key, const char *thread_key,
+            Vm &vm, Stream &stream, CoreId tile)
     {
-        WorkloadInstance &inst = s.vms_.at(vm)->instance();
-        for (int i = 0; i < inst.numThreads(); ++i)
-            if (&inst.thread(i) == stream)
-                return i;
-        CONSIM_CHECK_FAIL("checkpoint: unbindable stream on core ",
-                          tile);
-        return -1;
+        VmId v = -1;
+        int thread = -1;
+        if constexpr (!Ar::loading) {
+            if (stream != nullptr) {
+                const auto &threads = s.vms_.at(vm)->instance().streams_;
+                v = vm;
+                thread = static_cast<int>(
+                    std::find_if(threads.begin(), threads.end(),
+                                 [&](const auto &t) {
+                                     return t.get() == stream;
+                                 }) -
+                    threads.begin());
+                CONSIM_ASSERT(thread < static_cast<int>(threads.size()),
+                              "checkpoint: unbindable stream on core ",
+                              tile);
+            }
+        }
+        ar(vm_key, v);
+        ar(thread_key, thread);
+        if constexpr (Ar::loading) {
+            stream = v >= 0 ? &s.vms_.at(v)->instance().thread(thread)
+                            : nullptr;
+            vm = v >= 0 ? v : invalidVm;
+        }
     }
 
-    static Value
-    saveCore(const System &s, const Core &c)
+    template <class Ar, Is<System> S, Is<Core> C>
+    static void
+    io(Ar &ar, S &s, C &c)
     {
-        Value v = Value::object();
-        if (c.stream_ != nullptr) {
-            v.set("vm", c.vm_);
-            v.set("thread",
-                  threadIndexOf(s, c.vm_, c.stream_, c.tile_));
-        } else {
-            v.set("vm", -1);
-            v.set("thread", -1);
-        }
-        v.set("blocked", c.blocked_);
-        v.set("wedged", c.wedged_);
-        v.set("retired", c.retiredTotal_);
-        v.set("have_slice", c.haveSlice_);
-        Value sl = Value::array();
-        sl.push(static_cast<unsigned>(c.slice_.computeCycles));
-        sl.push(static_cast<std::uint64_t>(c.slice_.block));
-        sl.push(c.slice_.isWrite);
-        sl.push(c.slice_.endsTransaction);
-        sl.push(c.slice_.noMemRef);
-        v.set("slice", std::move(sl));
-        v.set("busy_until", cyclesJson(c.busyUntil_));
-        v.set("block_start", cyclesJson(c.blockStart_));
+        // Direct field writes: bindThread() would reset the in-flight
+        // slice and blocked state being restored.
+        binding(ar, s, "vm", "thread", c.vm_, c.stream_, c.tile_);
+        ar("blocked", c.blocked_);
+        ar("wedged", c.wedged_);
+        ar("retired", c.retiredTotal_);
+        ar("have_slice", c.haveSlice_);
+        auto &sl = c.slice_;
+        ar("slice", [&] {
+            ar.rec(sl.computeCycles, sl.block, sl.isWrite,
+                   sl.endsTransaction, sl.noMemRef);
+        });
+        ar("busy_until", c.busyUntil_);
+        ar("block_start", c.blockStart_);
         // Parked dynamic-scheduling migration (absent unless a swap
         // was decided while this core was mid-miss): the deferred
         // target binding, serialized like the live one.
-        if (c.rebindPending_) {
-            if (c.rebindStream_ != nullptr) {
-                v.set("rebind_vm", c.rebindVm_);
-                v.set("rebind_thread",
-                      threadIndexOf(s, c.rebindVm_, c.rebindStream_,
-                                    c.tile_));
-            } else {
-                v.set("rebind_vm", -1);
-                v.set("rebind_thread", -1);
-            }
+        if (ar.opt("rebind_vm", c.rebindPending_)) {
+            if constexpr (Ar::loading)
+                c.rebindPending_ = true;
+            binding(ar, s, "rebind_vm", "rebind_thread", c.rebindVm_,
+                    c.rebindStream_, c.tile_);
         }
-        // Over-commit rotation state; the run-queue contents are
-        // rebuilt from the placements by the System constructor, so
-        // only the position and next boundary need saving.
-        if (c.contexts_.size() > 1) {
-            v.set("ctx_pos",
-                  static_cast<std::uint64_t>(c.ctxPos_));
-            v.set("next_slice", cyclesJson(c.nextSlice_));
-        }
-        return v;
-    }
-
-    static void
-    loadCore(System &s, Core &c, const Value &v)
-    {
-        // Direct field writes: bindThread() would reset the in-flight
-        // slice and blocked state we are about to restore.
-        const auto vm = static_cast<VmId>(asInt(get(v, "vm")));
-        if (vm >= 0) {
-            const int thread =
-                static_cast<int>(asInt(get(v, "thread")));
-            c.stream_ = &s.vms_.at(vm)->instance().thread(thread);
-            c.vm_ = vm;
-        } else {
-            c.stream_ = nullptr;
-            c.vm_ = invalidVm;
-        }
-        c.blocked_ = get(v, "blocked").boolean();
-        c.wedged_ = get(v, "wedged").boolean();
-        c.retiredTotal_ = get(v, "retired").asUint();
-        c.haveSlice_ = get(v, "have_slice").boolean();
-        const Value &sl = get(v, "slice");
-        c.slice_.computeCycles =
-            static_cast<std::uint32_t>(sl.at(0).asUint());
-        c.slice_.block = sl.at(1).asUint();
-        c.slice_.isWrite = sl.at(2).boolean();
-        c.slice_.endsTransaction = sl.at(3).boolean();
-        c.slice_.noMemRef = sl.at(4).boolean();
-        c.busyUntil_ = get(v, "busy_until").asUint();
-        c.blockStart_ = get(v, "block_start").asUint();
-        if (const Value *rv = v.find("rebind_vm")) {
-            c.rebindPending_ = true;
-            const auto rvm = static_cast<VmId>(asInt(*rv));
-            if (rvm >= 0) {
-                const int th = static_cast<int>(
-                    asInt(get(v, "rebind_thread")));
-                c.rebindStream_ =
-                    &s.vms_.at(rvm)->instance().thread(th);
-                c.rebindVm_ = rvm;
-            } else {
-                c.rebindStream_ = nullptr;
-                c.rebindVm_ = invalidVm;
-            }
-        }
-        // Optional (absent on single-context cores and in snapshots
-        // from before over-commit existed).
-        if (const Value *cp = v.find("ctx_pos")) {
+        // Over-commit rotation state (absent on single-context
+        // cores); the run queue itself is rebuilt from the placements
+        // by the System constructor.
+        if (ar.opt("ctx_pos", c.contexts_.size() > 1)) {
             CONSIM_ASSERT(c.contexts_.size() > 1,
                           "checkpoint: rotation state for core ",
                           c.tile_, " which is not over-committed");
-            const auto pos = static_cast<std::size_t>(cp->asUint());
-            CONSIM_ASSERT(pos < c.contexts_.size(),
-                          "checkpoint: ctx_pos ", pos, " out of range");
-            c.ctxPos_ = pos;
-            c.nextSlice_ = get(v, "next_slice").asUint();
+            ar("ctx_pos", c.ctxPos_);
+            CONSIM_ASSERT(c.ctxPos_ < c.contexts_.size(),
+                          "checkpoint: ctx_pos ", c.ctxPos_,
+                          " out of range");
+            ar("next_slice", c.nextSlice_);
         }
     }
 
     // --- L1 controllers ---
 
-    static Value
-    saveL1(const L1Controller &l)
-    {
-        Value p = Value::array();
-        p.push(l.pending_.active);
-        p.push(static_cast<std::uint64_t>(l.pending_.block));
-        p.push(l.pending_.isWrite);
-        p.push(cyclesJson(l.pending_.start));
-        Value v = Value::object();
-        v.set("l0", saveL0(l.l0_));
-        v.set("l1", cacheArrayToJson(l.l1_));
-        v.set("pending", std::move(p));
-        return v;
-    }
-
+    template <class Ar, Is<L1Controller> L>
     static void
-    loadL1(L1Controller &l, const Value &v)
+    io(Ar &ar, L &l)
     {
-        loadL0(l.l0_, get(v, "l0"));
-        cacheArrayFromJson(l.l1_, get(v, "l1"));
-        const Value &p = get(v, "pending");
-        l.pending_.active = p.at(0).boolean();
-        l.pending_.block = p.at(1).asUint();
-        l.pending_.isWrite = p.at(2).boolean();
-        l.pending_.start = p.at(3).asUint();
+        // The L0 holds no state; its records keep the L1 layout with
+        // the state field fixed at Invalid.
+        ar("l0", [&] {
+            tags(ar, l.l0_, [&](std::uint64_t) {
+                L1State st = L1State::Invalid;
+                ar.rec(st);
+                CONSIM_ASSERT(st == L1State::Invalid,
+                              "checkpoint: L0 line with a state");
+            });
+        });
+        ar("l1", node(ar, l.l1_));
+        auto &p = l.pending_;
+        ar("pending",
+           [&] { ar.rec(p.active, p.block, p.isWrite, p.start); });
     }
 
-    // --- L2 banks ---
+    // --- L2 banks and directory slices ---
 
-    static Value
-    saveBankTxn(const L2Bank::BankTxn &t)
-    {
-        Value v = Value::object();
-        v.set("phase", static_cast<int>(t.phase));
-        v.set("req", msgToJson(t.req));
-        v.set("started", cyclesJson(t.started));
-        v.set("data_arrived", t.dataArrived);
-        v.set("grant_arrived", t.grantArrived);
-        v.set("data_msg", msgToJson(t.dataMsg));
-        v.set("grant_msg", msgToJson(t.grantMsg));
-        v.set("victim", static_cast<std::uint64_t>(t.victimBlock));
-        v.set("expect_putm", t.expectPutM);
-        v.set("extract", t.extractTarget);
-        return v;
-    }
-
-    static L2Bank::BankTxn
-    loadBankTxn(const Value &v)
-    {
-        L2Bank::BankTxn t;
-        t.phase = static_cast<L2Bank::Phase>(asInt(get(v, "phase")));
-        t.req = msgFromJson(get(v, "req"));
-        t.started = get(v, "started").asUint();
-        t.dataArrived = get(v, "data_arrived").boolean();
-        t.grantArrived = get(v, "grant_arrived").boolean();
-        t.dataMsg = msgFromJson(get(v, "data_msg"));
-        t.grantMsg = msgFromJson(get(v, "grant_msg"));
-        t.victimBlock = get(v, "victim").asUint();
-        t.expectPutM = get(v, "expect_putm").boolean();
-        t.extractTarget =
-            static_cast<CoreId>(asInt(get(v, "extract")));
-        return t;
-    }
-
-    /** Serialize the per-block waiting queues (sorted by block).
-     *  Empty queues cannot exist (popFront drops emptied keys). */
-    static Value
-    saveMsgQueues(const WaitQueueMap<Msg> &m)
-    {
-        Value v = Value::array();
-        std::vector<BlockAddr> keys = m.keys();
-        std::sort(keys.begin(), keys.end());
-        for (BlockAddr k : keys) {
-            Value q = Value::array();
-            m.forEachMsg(
-                k, [&](const Msg &msg) { q.push(msgToJson(msg)); });
-            Value e = Value::array();
-            e.push(static_cast<std::uint64_t>(k));
-            e.push(std::move(q));
-            v.push(std::move(e));
-        }
-        return v;
-    }
-
+    template <class Ar, Is<L2Bank::BankTxn> T>
     static void
-    loadMsgQueues(WaitQueueMap<Msg> &m, const Value &v)
+    io(Ar &ar, T &t)
     {
-        m.clear();
-        for (const Value &e : v.items()) {
-            const BlockAddr k = e.at(0).asUint();
-            for (const Value &msg : e.at(1).items())
-                m.pushBack(k, msgFromJson(msg));
-        }
+        ar("phase", t.phase);
+        ar("req", node(ar, t.req));
+        ar("started", t.started);
+        ar("data_arrived", t.dataArrived);
+        ar("grant_arrived", t.grantArrived);
+        ar("data_msg", node(ar, t.dataMsg));
+        ar("grant_msg", node(ar, t.grantMsg));
+        ar("victim", t.victimBlock);
+        ar("expect_putm", t.expectPutM);
+        ar("extract", t.extractTarget);
     }
 
-    static Value
-    saveBank(const L2Bank &b)
-    {
-        Value active = Value::array();
-        for (BlockAddr k : sortedKeys(b.active_)) {
-            Value e = Value::array();
-            e.push(static_cast<std::uint64_t>(k));
-            e.push(saveBankTxn(b.active_.at(k)));
-            active.push(std::move(e));
-        }
-        Value wb = Value::array();
-        for (BlockAddr k : sortedKeys(b.wb_)) {
-            const L2Bank::WbEntry &w = b.wb_.at(k);
-            Value e = Value::array();
-            e.push(static_cast<std::uint64_t>(k));
-            e.push(w.dirty);
-            e.push(w.vm);
-            e.push(cyclesJson(w.started));
-            wb.push(std::move(e));
-        }
-        Value extract = Value::array();
-        for (BlockAddr k : sortedKeys(b.victimExtract_)) {
-            Value e = Value::array();
-            e.push(static_cast<std::uint64_t>(k));
-            e.push(static_cast<std::uint64_t>(b.victimExtract_.at(k)));
-            extract.push(std::move(e));
-        }
-        Value v = Value::object();
-        v.set("array", cacheArrayToJson(b.array_));
-        v.set("active", std::move(active));
-        v.set("waiting", saveMsgQueues(b.waiting_));
-        v.set("wb", std::move(wb));
-        v.set("victim_extract", std::move(extract));
-        return v;
-    }
-
+    /** Per-block waiting queues as `[block, [msg...]]` records in
+     *  block order. Empty queues cannot exist (popFront drops emptied
+     *  keys). */
+    template <class Ar, class Q>
     static void
-    loadBank(L2Bank &b, const Value &v)
+    waiting(Ar &ar, Q &m)
     {
-        cacheArrayFromJson(b.array_, get(v, "array"));
-        b.active_.clear();
-        for (const Value &e : get(v, "active").items())
-            b.active_[e.at(0).asUint()] = loadBankTxn(e.at(1));
-        loadMsgQueues(b.waiting_, get(v, "waiting"));
-        b.wb_.clear();
-        for (const Value &e : get(v, "wb").items()) {
-            L2Bank::WbEntry w;
-            w.dirty = e.at(1).boolean();
-            w.vm = static_cast<VmId>(asInt(e.at(2)));
-            w.started = e.at(3).asUint();
-            b.wb_[e.at(0).asUint()] = w;
+        std::vector<std::pair<BlockAddr, std::vector<Msg>>> queues;
+        if constexpr (!Ar::loading) {
+            std::vector<BlockAddr> keys = m.keys();
+            std::sort(keys.begin(), keys.end());
+            for (const BlockAddr k : keys) {
+                queues.emplace_back(k, std::vector<Msg>{});
+                m.forEachMsg(k, [&](const Msg &msg) {
+                    queues.back().second.push_back(msg);
+                });
+            }
         }
-        b.victimExtract_.clear();
-        for (const Value &e : get(v, "victim_extract").items())
-            b.victimExtract_[e.at(0).asUint()] = e.at(1).asUint();
+        ar.seq("waiting", queues, [&](auto &q) {
+            ar.rec(q.first, [&] {
+                ar.seq(q.second, [&](Msg &msg) { io(ar, msg); });
+            });
+        });
+        if constexpr (Ar::loading)
+            for (auto &[k, msgs] : queues)
+                for (Msg &msg : msgs)
+                    m.pushBack(k, std::move(msg));
     }
 
-    // --- directory slices ---
-
-    static Value
-    saveDir(const DirectorySlice &d)
+    template <class Ar, Is<L2Bank> B>
+    static void
+    io(Ar &ar, B &b)
     {
-        Value active = Value::array();
-        for (BlockAddr k : sortedKeys(d.active_)) {
-            const DirectorySlice::Txn &t = d.active_.at(k);
-            Value e = Value::array();
-            e.push(static_cast<std::uint64_t>(k));
-            e.push(msgToJson(t.req));
-            e.push(cyclesJson(t.started));
-            e.push(t.acksPending);
-            e.push(t.fwdAckPending);
-            e.push(t.grantSent);
-            e.push(t.doneReceived);
-            e.push(t.dirFetched);
-            active.push(std::move(e));
-        }
-        Value v = Value::object();
+        ar("array", node(ar, b.array_));
+        ar.blocks("active", b.active_,
+                  [&](auto &t) { ar.rec(node(ar, t)); });
+        waiting(ar, b.waiting_);
+        ar.blocks("wb", b.wb_,
+                  [&](auto &w) { ar.rec(w.dirty, w.vm, w.started); });
+        ar.blocks("victim_extract", b.victimExtract_,
+                  [&](auto &victim) { ar.rec(victim); });
+    }
+
+    template <class Ar, Is<DirectorySlice> D>
+    static void
+    io(Ar &ar, D &d)
+    {
         // The directory cache is timing state: a hit or miss on it
         // decides whether a transaction pays the off-chip fetch.
-        v.set("cache", cacheArrayToJson(d.dirCache_));
-        v.set("active", std::move(active));
-        v.set("waiting", saveMsgQueues(d.waiting_));
-        return v;
+        ar("cache", node(ar, d.dirCache_));
+        ar.blocks("active", d.active_, [&](auto &t) {
+            ar.rec(node(ar, t.req), t.started, t.acksPending,
+                   t.fwdAckPending, t.grantSent, t.doneReceived,
+                   t.dirFetched);
+        });
+        waiting(ar, d.waiting_);
     }
 
+    /** Directory entries: the slices hold the non-Invalid ones. The
+     *  document lists their union in block order; restore scatters
+     *  each to its home slice (a block not listed stays Invalid). */
+    template <class Ar, Is<System> S>
     static void
-    loadDir(DirectorySlice &d, const Value &v)
+    dirEntries(Ar &ar, S &s)
     {
-        cacheArrayFromJson(d.dirCache_, get(v, "cache"));
-        d.active_.clear();
-        for (const Value &e : get(v, "active").items()) {
-            DirectorySlice::Txn t;
-            t.req = msgFromJson(e.at(1));
-            t.started = e.at(2).asUint();
-            t.acksPending = static_cast<int>(asInt(e.at(3)));
-            t.fwdAckPending = e.at(4).boolean();
-            t.grantSent = e.at(5).boolean();
-            t.doneReceived = e.at(6).boolean();
-            t.dirFetched = e.at(7).boolean();
-            d.active_[e.at(0).asUint()] = std::move(t);
+        std::vector<std::pair<BlockAddr, DirEntry>> all;
+        if constexpr (!Ar::loading) {
+            for (const auto &d : s.dirs_)
+                d->forEachEntry([&](BlockAddr block, const DirEntry &e) {
+                    all.emplace_back(block, e);
+                });
+            std::sort(all.begin(), all.end(),
+                      [](const auto &a, const auto &b) {
+                          return a.first < b.first;
+                      });
         }
-        loadMsgQueues(d.waiting_, get(v, "waiting"));
-    }
-
-    // --- directory entries (the slices hold non-Invalid ones) ---
-
-    static Value
-    saveDirEntries(const System &s)
-    {
-        // The union of the slices' maps in ascending block order.
-        std::size_t n = 0;
-        for (const auto &d : s.dirs_)
-            n += d->numEntries();
-        std::vector<std::pair<BlockAddr, const DirEntry *>> all;
-        all.reserve(n);
-        for (const auto &d : s.dirs_)
-            d->forEachEntry([&](BlockAddr block, const DirEntry &e) {
-                all.emplace_back(block, &e);
-            });
-        std::sort(all.begin(), all.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        Value v = Value::array();
-        for (const auto &[block, e] : all) {
-            Value rec = Value::array();
-            rec.push(static_cast<std::uint64_t>(block));
-            rec.push(static_cast<int>(e->state));
-            rec.push(coreSetJson(e->sharers));
-            rec.push(static_cast<int>(e->owner));
-            v.push(std::move(rec));
-        }
-        return v;
-    }
-
-    static void
-    loadDirEntries(System &s, const Value &v)
-    {
-        // The target System is freshly constructed: every slice is
-        // empty, and a block not listed here stays Invalid.
-        for (const Value &rec : v.items()) {
-            const BlockAddr block = rec.at(0).asUint();
-            CONSIM_ASSERT(s.windows_.contains(block),
-                          "checkpoint: directory entry outside "
-                          "registered windows: block ", block);
-            DirEntry &e = s.dirs_[s.homeTileFor(block)]->entries_[block];
-            e.state = static_cast<L2State>(asInt(rec.at(1)));
-            e.sharers = coreSetFromJson(rec.at(2));
-            e.owner = static_cast<std::int16_t>(asInt(rec.at(3)));
+        ar.seq("dir_entries", all, [&](auto &p) {
+            DirEntry &e = p.second;
+            std::vector<std::uint64_t> sharers = e.sharers.words();
+            ar.rec(p.first, e.state, sharers, e.owner);
+            if constexpr (Ar::loading)
+                e.sharers = CoreSet::fromWords(sharers);
+        });
+        if constexpr (Ar::loading) {
+            for (auto &[block, e] : all) {
+                CONSIM_ASSERT(s.windows_.contains(block),
+                              "checkpoint: directory entry outside "
+                              "registered windows: block ", block);
+                s.dirs_[s.homeTileFor(block)]->entries_[block] =
+                    std::move(e);
+            }
         }
     }
 
     // --- memory controllers ---
 
-    static Value
-    saveMc(const MemoryController &mc)
+    template <class Ar, Is<MemoryController> M>
+    static void
+    io(Ar &ar, M &mc)
     {
-        Value v = Value::object();
-        v.set("next_free", cyclesJson(mc.nextFree_));
-        v.set("outstanding", mc.outstanding_);
+        ar("next_free", mc.nextFree_);
+        ar("outstanding", mc.outstanding_);
         // QoS token buckets (v4): per-VM [window, tokens, issued].
         // The configuration itself (caps, refill) is reinstalled by
         // the experiment layer before restore; only the mutable
         // bucket state rides in the snapshot.
-        if (!mc.buckets_.empty()) {
-            Value bs = Value::array();
-            for (const auto &b : mc.buckets_) {
-                Value e = Value::array();
-                e.push(b.window);
-                e.push(b.tokens);
-                e.push(b.issued);
-                bs.push(std::move(e));
-            }
-            v.set("buckets", std::move(bs));
-        }
-        return v;
-    }
-
-    static void
-    loadMc(MemoryController &mc, const Value &v)
-    {
-        mc.nextFree_ = get(v, "next_free").asUint();
-        mc.outstanding_ =
-            static_cast<int>(asInt(get(v, "outstanding")));
-        if (const Value *bs = v.find("buckets")) {
-            CONSIM_ASSERT(bs->size() == mc.buckets_.size(),
-                          "checkpoint: MC token-bucket count "
-                          "mismatch (snapshot ", bs->size(),
-                          ", machine ", mc.buckets_.size(),
-                          " — was the QoS config reinstalled before "
-                          "restore?)");
-            for (std::size_t i = 0; i < mc.buckets_.size(); ++i) {
-                const Value &e = bs->at(i);
-                auto &b = mc.buckets_[i];
-                b.window = e.at(0).asUint();
-                b.tokens = e.at(1).asUint();
-                b.issued = e.at(2).asUint();
-            }
+        if (ar.opt("buckets", !mc.buckets_.empty())) {
+            CONSIM_ASSERT(!mc.buckets_.empty(),
+                          "checkpoint: MC token buckets for a machine "
+                          "without them — was the QoS config "
+                          "reinstalled before restore?");
+            ar.seq("buckets", mc.buckets_, [&](auto &b) {
+                ar.rec(b.window, b.tokens, b.issued);
+            });
         }
     }
 
     // --- interconnect ---
 
-    static Value
-    savePacket(const RouterPacket &p)
-    {
-        Value v = Value::array();
-        v.push(msgToJson(p.msg));
-        v.push(p.lenFlits);
-        v.push(cyclesJson(p.readyCycle));
-        v.push(p.outPort);
-        return v;
-    }
-
-    static PacketId
-    loadPacket(PacketPool &pool, const Value &v)
-    {
-        const PacketId id = pool.alloc();
-        RouterPacket &p = pool[id];
-        p.msg = msgFromJson(v.at(0));
-        p.lenFlits = static_cast<int>(asInt(v.at(1)));
-        p.readyCycle = v.at(2).asUint();
-        p.outPort = static_cast<int>(asInt(v.at(3)));
-        return id;
-    }
-
-    /** @p last_tick is the cycle the mesh last ticked (the
-     *  snapshot cycle - 1). A busy output completes at tick doneAt,
-     *  so it is stored as remaining = doneAt - last_tick, the flits
-     *  it still has to send. */
-    static Value
-    saveRouter(const Router &r, Cycle last_tick)
-    {
-        Value ins = Value::array();
-        for (std::size_t i = 0; i < r.inputs_.size(); ++i) {
-            const Router::InputVc &ivc = r.inputs_[i];
-            Value q = Value::array();
-            for (int k = 0; k < ivc.count; ++k)
-                q.push(savePacket(
-                    r.pool_[r.vcAt(static_cast<int>(i), k)]));
-            Value e = Value::object();
-            e.set("free", ivc.freeFlits);
-            e.set("q", std::move(q));
-            ins.push(std::move(e));
-        }
-        Value outs = Value::array();
-        for (int p = 0; p < NumPorts; ++p) {
-            const Router::OutPort &o = r.outputs_[p];
-            Value e = Value::object();
-            e.set("busy", o.busy);
-            if (o.busy) {
-                e.set("remaining",
-                      static_cast<int>(o.doneAt - last_tick));
-                e.set("dst_vc", o.dstVc);
-                e.set("pkt", savePacket(r.pool_[o.pkt]));
-            }
-            outs.push(std::move(e));
-        }
-        Value v = Value::object();
-        v.set("inputs", std::move(ins));
-        v.set("outputs", std::move(outs));
-        v.set("rr", r.rrInput_);
-        v.set("buffered", r.buffered_);
-        v.set("busy_outputs", r.busyOutputs_);
-        return v;
-    }
-
+    template <class Ar, Is<RouterPacket> P>
     static void
-    loadRouter(Router &r, const Value &v, Cycle last_tick)
+    io(Ar &ar, P &p)
     {
-        const Value &ins = get(v, "inputs");
-        CONSIM_ASSERT(ins.size() == r.inputs_.size(),
-                      "checkpoint: router VC layout mismatch");
-        for (std::size_t i = 0; i < r.inputs_.size(); ++i) {
-            Router::InputVc &ivc = r.inputs_[i];
-            const Value &e = ins.at(i);
-            ivc.freeFlits = static_cast<int>(asInt(get(e, "free")));
-            ivc.head = 0;
-            ivc.count = 0;
-            for (const Value &p : get(e, "q").items())
-                r.vcPush(static_cast<int>(i), loadPacket(r.pool_, p));
-        }
-        const Value &outs = get(v, "outputs");
-        CONSIM_ASSERT(outs.size() == NumPorts,
-                      "checkpoint: router port count mismatch");
-        for (int p = 0; p < NumPorts; ++p) {
-            Router::OutPort &o = r.outputs_[p];
-            const Value &e = outs.at(p);
-            o.busy = get(e, "busy").boolean();
+        ar.rec(node(ar, p.msg), p.lenFlits, p.readyCycle, p.outPort);
+    }
+
+    /** @p last_tick is the cycle the mesh last ticked (the snapshot
+     *  cycle - 1). A busy output completes at tick doneAt, so it is
+     *  stored as remaining = doneAt - last_tick, the flits it still
+     *  has to send. Packets are allocated in document order. */
+    template <class Ar, Is<Router> R>
+    static void
+    io(Ar &ar, R &r, Cycle last_tick)
+    {
+        int vc = 0;
+        ar.seq("inputs", r.inputs_, [&](auto &ivc) {
+            ar("free", ivc.freeFlits);
+            std::vector<PacketId> ids;
+            if constexpr (!Ar::loading)
+                for (int k = 0; k < ivc.count; ++k)
+                    ids.push_back(r.vcAt(vc, k));
+            ar.seq("q", ids, [&](PacketId &id) {
+                if constexpr (Ar::loading)
+                    id = r.pool_.alloc();
+                io(ar, r.pool_[id]);
+            });
+            if constexpr (Ar::loading)
+                for (const PacketId id : ids)
+                    r.vcPush(vc, id);
+            ++vc;
+        });
+        ar.seq("outputs", r.outputs_, [&](auto &o) {
+            ar("busy", o.busy);
             if (o.busy) {
-                o.doneAt = last_tick + asInt(get(e, "remaining"));
-                o.dstVc = static_cast<int>(asInt(get(e, "dst_vc")));
-                o.pkt = loadPacket(r.pool_, get(e, "pkt"));
-            } else {
-                o.doneAt = 0;
-                o.dstVc = 0;
-                o.pkt = 0;
+                int remaining = static_cast<int>(o.doneAt - last_tick);
+                ar("remaining", remaining);
+                ar("dst_vc", o.dstVc);
+                if constexpr (Ar::loading) {
+                    o.doneAt = last_tick + remaining;
+                    o.pkt = r.pool_.alloc();
+                }
+                ar("pkt", node(ar, r.pool_[o.pkt]));
             }
-        }
-        r.rrInput_ = static_cast<int>(asInt(get(v, "rr")));
+        });
+        ar("rr", r.rrInput_);
         // The counts are derived state: recount them, and the
         // stored copies must agree.
-        r.rebuildActivity();
-        CONSIM_ASSERT(r.buffered_ == asInt(get(v, "buffered")) &&
-                          r.busyOutputs_ ==
-                              asInt(get(v, "busy_outputs")),
-                      "checkpoint: router ", r.tile_,
-                      " packet counts disagree with its queues");
-    }
-
-    static Value
-    saveNet(const System &s)
-    {
-        const Network &n = *s.net_;
-        Value v = Value::object();
-        v.set("injected", n.injectedTotal_);
-        v.set("ejected", n.ejectedTotal_);
-        if (const auto *mesh = dynamic_cast<const Mesh *>(&n)) {
-            v.set("kind", "mesh");
-            CONSIM_ASSERT(mesh->shared_.busyLinks == 0 ||
-                              mesh->lastTick_ + 1 == s.now_,
-                          "checkpoint: mesh clock (last tick ",
-                          mesh->lastTick_, ") lags the machine (",
-                          s.now_, ")");
-            Value routers = Value::array();
-            for (const auto &r : mesh->routers_)
-                routers.push(saveRouter(*r, s.now_ - 1));
-            v.set("routers", std::move(routers));
-            Value nis = Value::array();
-            for (const auto &ni : mesh->nis_) {
-                Value vnets = Value::array();
-                for (const auto &q : ni->queues_) {
-                    Value msgs = Value::array();
-                    for (const Msg &m : q)
-                        msgs.push(msgToJson(m));
-                    vnets.push(std::move(msgs));
-                }
-                nis.push(std::move(vnets));
-            }
-            v.set("nis", std::move(nis));
-        } else {
-            const auto *ideal =
-                dynamic_cast<const IdealNetwork *>(&n);
-            CONSIM_ASSERT(ideal != nullptr,
-                          "checkpoint: unknown network type");
-            v.set("kind", "ideal");
-            Value inflight = Value::array();
-            for (const auto &[when, msg] : ideal->inflight_) {
-                Value e = Value::array();
-                e.push(cyclesJson(when));
-                e.push(msgToJson(msg));
-                inflight.push(std::move(e));
-            }
-            v.set("inflight", std::move(inflight));
+        int buffered = r.buffered_;
+        int busy = r.busyOutputs_;
+        ar("buffered", buffered);
+        ar("busy_outputs", busy);
+        if constexpr (Ar::loading) {
+            r.rebuildActivity();
+            CONSIM_ASSERT(r.buffered_ == buffered &&
+                              r.busyOutputs_ == busy,
+                          "checkpoint: router ", r.tile_,
+                          " packet counts disagree with its queues");
         }
-        return v;
     }
 
+    template <class Ar, Is<System> S>
     static void
-    loadNet(System &s, const Value &v)
+    net(Ar &ar, S &s)
     {
         Network &n = *s.net_;
-        n.injectedTotal_ = get(v, "injected").asUint();
-        n.ejectedTotal_ = get(v, "ejected").asUint();
-        const std::string &kind = get(v, "kind").str();
-        if (auto *mesh = dynamic_cast<Mesh *>(&n)) {
-            CONSIM_ASSERT(kind == "mesh",
-                          "checkpoint: network kind mismatch");
-            const Value &routers = get(v, "routers");
-            CONSIM_ASSERT(routers.size() == mesh->routers_.size(),
-                          "checkpoint: router count mismatch");
-            mesh->shared_.pool.clear();
-            for (std::size_t i = 0; i < mesh->routers_.size(); ++i)
-                loadRouter(*mesh->routers_[i], routers.at(i),
-                           s.now_ - 1);
-            const Value &nis = get(v, "nis");
-            CONSIM_ASSERT(nis.size() == mesh->nis_.size(),
-                          "checkpoint: NI count mismatch");
-            for (std::size_t i = 0; i < mesh->nis_.size(); ++i) {
-                NetworkInterface &ni = *mesh->nis_[i];
-                const Value &vnets = nis.at(i);
-                CONSIM_ASSERT(vnets.size() == ni.queues_.size(),
-                              "checkpoint: NI vnet count mismatch");
-                for (std::size_t q = 0; q < ni.queues_.size(); ++q) {
-                    ni.queues_[q].clear();
-                    for (const Value &m : vnets.at(q).items())
-                        ni.queues_[q].push_back(msgFromJson(m));
-                }
-                ni.recountQueued();
-            }
-            mesh->rebuildActivity(s.now_);
-        } else {
-            auto *ideal = dynamic_cast<IdealNetwork *>(&n);
-            CONSIM_ASSERT(ideal != nullptr && kind == "ideal",
-                          "checkpoint: network kind mismatch");
-            ideal->inflight_.clear();
-            for (const Value &e : get(v, "inflight").items())
-                ideal->inflight_.push_back(
-                    {e.at(0).asUint(), msgFromJson(e.at(1))});
+        ar("injected", n.injectedTotal_);
+        ar("ejected", n.ejectedTotal_);
+        auto *mesh = dynamic_cast<Mesh *>(&n);
+        std::string kind = mesh ? "mesh" : "ideal";
+        ar("kind", kind);
+        CONSIM_ASSERT(kind == (mesh ? "mesh" : "ideal"),
+                      "checkpoint: network kind mismatch");
+        if (mesh == nullptr) {
+            // The ideal network delivers through NetDeliver events
+            // (pending in the event queue), so it holds no state; the
+            // empty list keeps the document's shape.
+            std::vector<int> inflight;
+            ar("inflight", inflight);
+            CONSIM_ASSERT(inflight.empty(),
+                          "checkpoint: in-flight messages for the "
+                          "ideal network, which queues none");
+            return;
         }
-    }
-
-    // --- fault-injection runtime state ---
-
-    static Value
-    saveFaults(const System &s)
-    {
-        // Only live runtime state: pending WedgeCore events ride in
-        // the serialized event queue, so the restored System must NOT
-        // re-run setFaultPlan (it would double-fire them).
-        Value v = Value::object();
-        v.set("drop_armed", s.dropArmed_);
-        v.set("drop_countdown", s.dropCountdown_);
-        v.set("memburst_armed", s.memBurstArmed_);
-        v.set("memburst_start", cyclesJson(s.memBurstStart_));
-        v.set("memburst_end", cyclesJson(s.memBurstEnd_));
-        v.set("memburst_extra", cyclesJson(s.memBurstExtra_));
-        return v;
-    }
-
-    static void
-    loadFaults(System &s, const Value &v)
-    {
-        s.dropArmed_ = get(v, "drop_armed").boolean();
-        s.dropCountdown_ = get(v, "drop_countdown").asUint();
-        s.memBurstArmed_ = get(v, "memburst_armed").boolean();
-        s.memBurstStart_ = get(v, "memburst_start").asUint();
-        s.memBurstEnd_ = get(v, "memburst_end").asUint();
-        s.memBurstExtra_ = get(v, "memburst_extra").asUint();
+        CONSIM_ASSERT(Ar::loading || mesh->shared_.busyLinks == 0 ||
+                          mesh->lastTick_ + 1 == s.now_,
+                      "checkpoint: mesh clock (last tick ",
+                      mesh->lastTick_, ") lags the machine (", s.now_,
+                      ")");
+        if constexpr (Ar::loading)
+            mesh->shared_.pool.clear();
+        ar.seq("routers", mesh->routers_,
+               [&](auto &r) { io(ar, *r, s.now_ - 1); });
+        ar.seq("nis", mesh->nis_, [&](auto &ni) {
+            ar.seq(ni->queues_, [&](auto &q) {
+                std::vector<Msg> msgs;
+                for (const Msg &m : q)
+                    msgs.push_back(m);
+                ar.seq(msgs, [&](Msg &m) { io(ar, m); });
+                if constexpr (Ar::loading)
+                    for (Msg &m : msgs)
+                        q.push_back(std::move(m));
+            });
+            if constexpr (Ar::loading)
+                ni->recountQueued();
+        });
+        if constexpr (Ar::loading)
+            mesh->rebuildActivity(s.now_);
     }
 
     // --- workload streams / footprints ---
 
-    static Value
-    saveVms(const System &s)
-    {
-        Value v = Value::array();
-        for (VirtualMachine *vm : s.vms_) {
-            WorkloadInstance &inst = vm->instance();
-            Value streams = Value::array();
-            for (int i = 0; i < inst.numThreads(); ++i) {
-                SyntheticStream &st = inst.thread(i);
-                Value rng = Value::array();
-                for (std::uint64_t w : st.rng_.state())
-                    rng.push(w);
-                Value sv = Value::object();
-                sv.set("rng", std::move(rng));
-                sv.set("hot_shared", st.hotSharedPos_);
-                sv.set("hot_private", st.hotPrivatePos_);
-                sv.set("refs", st.refs_);
-                sv.set("refs_in_txn",
-                       static_cast<unsigned>(st.refsInTxn_));
-                streams.push(std::move(sv));
-            }
-            const Footprint &fp = inst.footprint_;
-            Value touched = Value::array();
-            for (std::size_t i = 0; i < fp.touched_.size(); ++i) {
-                if (fp.touched_[i])
-                    touched.push(static_cast<std::uint64_t>(i));
-            }
-            Value fpv = Value::object();
-            fpv.set("count", fp.count_);
-            fpv.set("touched", std::move(touched));
-            Value e = Value::object();
-            e.set("streams", std::move(streams));
-            e.set("footprint", std::move(fpv));
-            v.push(std::move(e));
-        }
-        return v;
-    }
-
+    template <class Ar, Is<System> S>
     static void
-    loadVms(System &s, const Value &v)
+    vms(Ar &ar, S &s)
     {
-        CONSIM_ASSERT(v.size() == s.vms_.size(),
-                      "checkpoint: VM count mismatch");
-        for (std::size_t i = 0; i < s.vms_.size(); ++i) {
-            WorkloadInstance &inst = s.vms_[i]->instance();
-            const Value &e = v.at(i);
-            const Value &streams = get(e, "streams");
-            CONSIM_ASSERT(
-                static_cast<int>(streams.size()) ==
-                    inst.numThreads(),
-                "checkpoint: thread count mismatch in vm ", i);
-            for (int t = 0; t < inst.numThreads(); ++t) {
-                SyntheticStream &st = inst.thread(t);
-                const Value &sv = streams.at(t);
-                const Value &rng = get(sv, "rng");
-                CONSIM_ASSERT(rng.size() == 4,
-                              "checkpoint: bad rng state");
-                st.rng_.setState({rng.at(0).asUint(),
-                                  rng.at(1).asUint(),
-                                  rng.at(2).asUint(),
-                                  rng.at(3).asUint()});
-                st.hotSharedPos_ = get(sv, "hot_shared").asUint();
-                st.hotPrivatePos_ = get(sv, "hot_private").asUint();
-                st.refs_ = get(sv, "refs").asUint();
-                st.refsInTxn_ = static_cast<std::uint32_t>(
-                    get(sv, "refs_in_txn").asUint());
-            }
+        std::size_t vm = 0;
+        ar.seq("vms", s.vms_, [&](VirtualMachine *v) {
+            WorkloadInstance &inst = v->instance();
+            ar.seq("streams", inst.streams_, [&](auto &st) {
+                auto rng = st->rng_.state();
+                ar("rng", rng);
+                if constexpr (Ar::loading)
+                    st->rng_.setState(rng);
+                ar("hot_shared", st->hotSharedPos_);
+                ar("hot_private", st->hotPrivatePos_);
+                ar("refs", st->refs_);
+                ar("refs_in_txn", st->refsInTxn_);
+            });
             Footprint &fp = inst.footprint_;
-            const Value &fpv = get(e, "footprint");
-            fp.touched_.assign(fp.touched_.size(), false);
-            std::uint64_t distinct = 0;
-            for (const Value &idx : get(fpv, "touched").items()) {
-                const std::uint64_t off = idx.asUint();
-                CONSIM_ASSERT(off < fp.touched_.size(),
-                              "checkpoint: footprint index out of "
-                              "range");
-                if (!fp.touched_[off]) {
-                    fp.touched_[off] = true;
-                    ++distinct;
+            ar("footprint", [&] {
+                ar("count", fp.count_);
+                std::vector<std::uint64_t> touched;
+                if constexpr (!Ar::loading)
+                    for (std::size_t i = 0; i < fp.touched_.size(); ++i)
+                        if (fp.touched_[i])
+                            touched.push_back(i);
+                ar("touched", touched);
+                if constexpr (Ar::loading) {
+                    fp.touched_.assign(fp.touched_.size(), false);
+                    std::uint64_t distinct = 0;
+                    for (const std::uint64_t off : touched) {
+                        CONSIM_ASSERT(off < fp.touched_.size(),
+                                      "checkpoint: footprint index "
+                                      "out of range");
+                        distinct += fp.touched_[off] ? 0 : 1;
+                        fp.touched_[off] = true;
+                    }
+                    // The count is derived state: a snapshot whose
+                    // touched set disagrees with it is corrupt, not
+                    // merely stale.
+                    CONSIM_ASSERT(fp.count_ == distinct,
+                                  "checkpoint: vm ", vm,
+                                  " footprint count ", fp.count_,
+                                  " but ", distinct,
+                                  " distinct touched blocks");
                 }
-            }
-            // The count is derived state: a snapshot whose touched set
-            // disagrees with it is corrupt, not merely stale.
-            fp.count_ = get(fpv, "count").asUint();
-            CONSIM_ASSERT(fp.count_ == distinct, "checkpoint: vm ", i,
-                          " footprint count ", fp.count_, " but ",
-                          distinct, " distinct touched blocks");
-        }
+            });
+            ++vm;
+        });
     }
 
     // --- whole machine ---
 
-    static Value
-    saveMachine(const System &s)
-    {
-        Value m = Value::object();
-        // Mesh geometry is in the document (not just the context) so
-        // a restore can sanity-check the rebuilt machine's shape
-        // against the snapshot before walking any per-tile arrays.
-        Value mesh = Value::array();
-        mesh.push(s.cfg_.meshX);
-        mesh.push(s.cfg_.meshY);
-        m.set("mesh", std::move(mesh));
-        m.set("cycle", cyclesJson(s.now_));
-        m.set("events", saveEvents(s));
-        Value cores = Value::array();
-        for (const auto &c : s.cores_)
-            cores.push(saveCore(s, *c));
-        m.set("cores", std::move(cores));
-        Value l1s = Value::array();
-        for (const auto &l : s.l1s_)
-            l1s.push(saveL1(*l));
-        m.set("l1s", std::move(l1s));
-        Value banks = Value::array();
-        for (const auto &b : s.banks_)
-            banks.push(saveBank(*b));
-        m.set("banks", std::move(banks));
-        Value dirs = Value::array();
-        for (const auto &d : s.dirs_)
-            dirs.push(saveDir(*d));
-        m.set("dirs", std::move(dirs));
-        Value mcs = Value::array();
-        for (const auto &mc : s.mcs_)
-            mcs.push(saveMc(*mc));
-        m.set("mcs", std::move(mcs));
-        m.set("dir_entries", saveDirEntries(s));
-        m.set("net", saveNet(s));
-        m.set("faults", saveFaults(s));
-        // QoS runtime state (v4): the dynamic repartitioner's way
-        // allocation and miss-curve samples. Emitted only when QoS is
-        // active so QoS-free snapshots keep their exact prior shape.
-        if (s.qos_.enabled()) {
-            Value q = Value::object();
-            q.set("dyn_ways", s.qosDynWays_);
-            q.set("last_miss_total", s.qosLastMissTotal_);
-            q.set("prev_delta", s.qosPrevDelta_);
-            m.set("qos", std::move(q));
-        }
-        // Dynamic-scheduling runtime state (v5): the migration
-        // count and the epoch-baseline counters the policies delta
-        // against. The policies themselves are pure functions, so
-        // this is the entire state. Emitted only when armed so
-        // dyn-free snapshots keep their exact prior shape.
-        if (s.dynSched_.enabled()) {
-            Value d = Value::object();
-            d.set("migrations", s.dynMigrations_);
-            Value retired = Value::array();
-            for (const std::uint64_t r : s.dynLastRetired_)
-                retired.push(r);
-            d.set("last_retired", std::move(retired));
-            Value vms = Value::array();
-            for (const auto &v : s.dynLastVm_) {
-                Value row = Value::array();
-                for (const std::uint64_t x : v)
-                    row.push(x);
-                vms.push(std::move(row));
-            }
-            d.set("last_vm", std::move(vms));
-            Value groups = Value::array();
-            for (const auto &g : s.dynLastGroup_) {
-                Value row = Value::array();
-                for (const std::uint64_t x : g)
-                    row.push(x);
-                groups.push(std::move(row));
-            }
-            d.set("last_group", std::move(groups));
-            // Feedback-loop state: backoff window and (when a swap
-            // awaits its verdict) the swap plus the pre-swap epoch
-            // miss/access totals it is judged against.
-            d.set("hold", s.dynHold_);
-            d.set("backoff", s.dynBackoff_);
-            if (s.dynEval_.decided()) {
-                Value ev = Value::array();
-                ev.push(s.dynEval_.a);
-                ev.push(s.dynEval_.b);
-                ev.push(s.dynPreMiss_);
-                ev.push(s.dynPreAcc_);
-                d.set("eval", std::move(ev));
-            }
-            m.set("dyn_sched", std::move(d));
-        }
-        m.set("stats", s.statsRoot_.saveState());
-        return m;
-    }
-
+    template <class Ar, Is<System> S>
     static void
-    loadMachine(System &s, const Value &m)
+    machine(Ar &ar, S &s)
     {
         // Restore targets a freshly constructed System: directory
         // entries, cache arrays and queues all start default there,
-        // and the sparse loaders rely on it.
-        CONSIM_ASSERT(s.now_ == 0 && s.events_.empty(),
+        // and the loaders rely on it.
+        CONSIM_ASSERT(!Ar::loading || (s.now_ == 0 && s.events_.empty()),
                       "restoreCheckpoint needs a fresh System");
-        const Value &mesh = get(m, "mesh");
-        CONSIM_ASSERT(static_cast<int>(asInt(mesh.at(0))) ==
-                              s.cfg_.meshX &&
-                          static_cast<int>(asInt(mesh.at(1))) ==
-                              s.cfg_.meshY,
+        // Mesh geometry is in the document (not just the context) so
+        // a restore can sanity-check the rebuilt machine's shape
+        // before walking any per-tile arrays.
+        int mesh_x = s.cfg_.meshX;
+        int mesh_y = s.cfg_.meshY;
+        ar("mesh", [&] { ar.rec(mesh_x, mesh_y); });
+        CONSIM_ASSERT(mesh_x == s.cfg_.meshX && mesh_y == s.cfg_.meshY,
                       "checkpoint: mesh geometry mismatch (snapshot ",
-                      asInt(mesh.at(0)), "x", asInt(mesh.at(1)),
-                      ", machine ", s.cfg_.meshX, "x", s.cfg_.meshY,
-                      ")");
-        // The clock must be set before events: insertAbs checks
-        // every due cycle against now.
-        s.now_ = get(m, "cycle").asUint();
-        loadEvents(s, get(m, "events"));
-        const Value &cores = get(m, "cores");
-        CONSIM_ASSERT(cores.size() == s.cores_.size(),
-                      "checkpoint: core count mismatch");
-        for (std::size_t i = 0; i < s.cores_.size(); ++i)
-            loadCore(s, *s.cores_[i], cores.at(i));
-        const Value &l1s = get(m, "l1s");
-        CONSIM_ASSERT(l1s.size() == s.l1s_.size(),
-                      "checkpoint: L1 count mismatch");
-        for (std::size_t i = 0; i < s.l1s_.size(); ++i)
-            loadL1(*s.l1s_[i], l1s.at(i));
-        const Value &banks = get(m, "banks");
-        CONSIM_ASSERT(banks.size() == s.banks_.size(),
-                      "checkpoint: bank count mismatch");
-        for (std::size_t i = 0; i < s.banks_.size(); ++i)
-            loadBank(*s.banks_[i], banks.at(i));
-        const Value &dirs = get(m, "dirs");
-        CONSIM_ASSERT(dirs.size() == s.dirs_.size(),
-                      "checkpoint: directory count mismatch");
-        for (std::size_t i = 0; i < s.dirs_.size(); ++i)
-            loadDir(*s.dirs_[i], dirs.at(i));
-        const Value &mcs = get(m, "mcs");
-        CONSIM_ASSERT(mcs.size() == s.mcs_.size(),
-                      "checkpoint: MC count mismatch");
-        for (std::size_t i = 0; i < s.mcs_.size(); ++i)
-            loadMc(*s.mcs_[i], mcs.at(i));
-        loadDirEntries(s, get(m, "dir_entries"));
-        loadNet(s, get(m, "net"));
-        loadFaults(s, get(m, "faults"));
-        if (const Value *q = m.find("qos")) {
+                      mesh_x, "x", mesh_y, ", machine ", s.cfg_.meshX,
+                      "x", s.cfg_.meshY, ")");
+        // The clock comes before the events: insertAbs checks every
+        // due cycle against it.
+        ar("cycle", s.now_);
+        ar("events", [&] { events(ar, s); });
+        ar.seq("cores", s.cores_, [&](auto &c) { io(ar, s, *c); });
+        ar.seq("l1s", s.l1s_, [&](auto &l) { io(ar, *l); });
+        ar.seq("banks", s.banks_, [&](auto &b) { io(ar, *b); });
+        ar.seq("dirs", s.dirs_, [&](auto &d) { io(ar, *d); });
+        ar.seq("mcs", s.mcs_, [&](auto &mc) { io(ar, *mc); });
+        dirEntries(ar, s);
+        ar("net", [&] { net(ar, s); });
+        // Only live fault runtime state: pending WedgeCore events
+        // ride in the event queue, so a restored System must NOT
+        // re-run setFaultPlan (it would double-fire them).
+        ar("faults", [&] {
+            ar("drop_armed", s.dropArmed_);
+            ar("drop_countdown", s.dropCountdown_);
+            ar("memburst_armed", s.memBurstArmed_);
+            ar("memburst_start", s.memBurstStart_);
+            ar("memburst_end", s.memBurstEnd_);
+            ar("memburst_extra", s.memBurstExtra_);
+        });
+        // QoS runtime state (v4): the dynamic repartitioner's way
+        // allocation and miss-curve samples. Present only when QoS is
+        // active so QoS-free snapshots keep their exact prior shape.
+        if (ar.opt("qos", s.qos_.enabled())) {
             CONSIM_ASSERT(s.qos_.enabled(),
                           "checkpoint carries QoS runtime state but "
                           "the rebuilt machine has QoS off — "
                           "reinstall the QoS config before restore");
-            s.qosDynWays_ =
-                static_cast<int>(asInt(get(*q, "dyn_ways")));
-            s.qosLastMissTotal_ =
-                get(*q, "last_miss_total").asUint();
-            s.qosPrevDelta_ = get(*q, "prev_delta").asUint();
+            ar("qos", [&] {
+                ar("dyn_ways", s.qosDynWays_);
+                ar("last_miss_total", s.qosLastMissTotal_);
+                ar("prev_delta", s.qosPrevDelta_);
+            });
         }
-        if (const Value *d = m.find("dyn_sched")) {
+        // Dynamic-scheduling runtime state (v5): the migration count,
+        // the epoch-baseline counters the policies delta against, and
+        // the feedback loop's backoff window plus (while a swap
+        // awaits its verdict) the swap and the pre-swap epoch
+        // miss/access totals it is judged against. The policies are
+        // pure functions, so this is the entire state.
+        if (ar.opt("dyn_sched", s.dynSched_.enabled())) {
             CONSIM_ASSERT(s.dynSched_.enabled(),
                           "checkpoint carries dynamic-scheduling "
                           "runtime state but the rebuilt machine has "
                           "it off — reinstall the dyn-sched config "
                           "before restore");
-            s.dynMigrations_ = get(*d, "migrations").asUint();
-            const Value &retired = get(*d, "last_retired");
-            CONSIM_ASSERT(retired.size() == s.dynLastRetired_.size(),
-                          "checkpoint: dyn-sched core-baseline count "
-                          "mismatch");
-            for (std::size_t i = 0; i < retired.size(); ++i)
-                s.dynLastRetired_[i] = retired.at(i).asUint();
-            const Value &vms = get(*d, "last_vm");
-            CONSIM_ASSERT(vms.size() == s.dynLastVm_.size(),
-                          "checkpoint: dyn-sched VM-baseline count "
-                          "mismatch");
-            for (std::size_t i = 0; i < vms.size(); ++i)
-                for (std::size_t k = 0; k < 3; ++k)
-                    s.dynLastVm_[i][k] = vms.at(i).at(k).asUint();
-            const Value &groups = get(*d, "last_group");
-            CONSIM_ASSERT(groups.size() == s.dynLastGroup_.size(),
-                          "checkpoint: dyn-sched group-baseline count "
-                          "mismatch");
-            for (std::size_t i = 0; i < groups.size(); ++i)
-                for (std::size_t k = 0; k < 2; ++k)
-                    s.dynLastGroup_[i][k] =
-                        groups.at(i).at(k).asUint();
-            s.dynHold_ =
-                static_cast<std::uint32_t>(get(*d, "hold").asUint());
-            s.dynBackoff_ = static_cast<std::uint32_t>(
-                get(*d, "backoff").asUint());
-            if (const Value *ev = d->find("eval")) {
-                s.dynEval_.a =
-                    static_cast<CoreId>(asInt(ev->at(0)));
-                s.dynEval_.b =
-                    static_cast<CoreId>(asInt(ev->at(1)));
-                s.dynPreMiss_ = ev->at(2).asUint();
-                s.dynPreAcc_ = ev->at(3).asUint();
-            }
+            ar("dyn_sched", [&] {
+                ar("migrations", s.dynMigrations_);
+                ar("last_retired", s.dynLastRetired_);
+                ar("last_vm", s.dynLastVm_);
+                ar("last_group", s.dynLastGroup_);
+                ar("hold", s.dynHold_);
+                ar("backoff", s.dynBackoff_);
+                if (ar.opt("eval", s.dynEval_.decided()))
+                    ar("eval", [&] {
+                        ar.rec(s.dynEval_.a, s.dynEval_.b,
+                               s.dynPreMiss_, s.dynPreAcc_);
+                    });
+            });
         }
-        s.statsRoot_.restoreState(get(m, "stats"));
+        ar("stats", [&] { s.statsRoot_.io(ar); });
+    }
+
+    /** The whole document; the experiment context rides verbatim. */
+    template <class Ar, Is<System> S>
+    static void
+    io(Ar &ar, S &s)
+    {
+        std::string schema = ckptSchema;
+        ar("schema", schema);
+        ar("context", s.ckptCtx_);
+        ar("machine", [&] { machine(ar, s); });
+        vms(ar, s);
     }
 };
 
-Value
-cacheArrayToJson(const CacheArray<PrivateCacheLine> &a)
-{
-    return CkptAccess::saveArray(
-        a, [](const PrivateCacheLine &l, Value &rec) {
-            rec.push(static_cast<int>(l.state));
-        });
-}
-
 void
-cacheArrayFromJson(CacheArray<PrivateCacheLine> &a, const Value &v)
-{
-    CkptAccess::loadArray(
-        a, v, [](PrivateCacheLine &l, const Value &rec) {
-            l.state = static_cast<L1State>(asInt(rec.at(3)));
-        });
-}
-
-Value
-cacheArrayToJson(const CacheArray<L2CacheLine> &a)
-{
-    return CkptAccess::saveArray(a, [](const L2CacheLine &l, Value &rec) {
-        rec.push(static_cast<int>(l.state));
-        rec.push(l.dirty);
-        rec.push(l.pinned);
-        rec.push(coreSetJson(l.presence));
-        rec.push(static_cast<int>(l.ownerCore));
-        rec.push(l.vm);
-    });
-}
-
-void
-cacheArrayFromJson(CacheArray<L2CacheLine> &a, const Value &v)
-{
-    CkptAccess::loadArray(a, v, [](L2CacheLine &l, const Value &rec) {
-        l.state = static_cast<L2State>(asInt(rec.at(3)));
-        l.dirty = rec.at(4).boolean();
-        l.pinned = rec.at(5).boolean();
-        l.presence = coreSetFromJson(rec.at(6));
-        l.ownerCore = static_cast<std::int16_t>(asInt(rec.at(7)));
-        l.vm = static_cast<VmId>(asInt(rec.at(8)));
-    });
-}
-
-Value
-cacheArrayToJson(const TagArray &a)
-{
-    return CkptAccess::saveTags(a, [](std::uint64_t, Value &) {});
-}
-
-void
-cacheArrayFromJson(TagArray &a, const Value &v)
-{
-    CkptAccess::loadTags(a, v, [](std::uint64_t, const Value &) {});
-}
-
-json::Value
-System::saveCheckpoint() const
-{
-    json::Value doc = json::Value::object();
-    doc.set("schema", "consim.ckpt.v5");
-    doc.set("context", ckptCtx_);
-    doc.set("machine", CkptAccess::saveMachine(*this));
-    doc.set("vms", CkptAccess::saveVms(*this));
-    return doc;
-}
-
-void
-System::restoreCheckpoint(const json::Value &doc)
+checkCkptSchema(const json::Value &doc)
 {
     const json::Value *schema = doc.find("schema");
-    CONSIM_ASSERT(schema != nullptr &&
-                      schema->str() == "consim.ckpt.v5",
+    CONSIM_ASSERT(schema != nullptr && schema->str() == ckptSchema,
                   "not a consim.ckpt.v5 document (v1 checkpoints "
                   "predate per-source event keys; v2 checkpoints "
                   "encode sharer/presence state as fixed 16-bit "
@@ -1354,8 +731,46 @@ System::restoreCheckpoint(const json::Value &doc)
                   "dynamic scheduler's epoch baselines and migration "
                   "count — so none can be restored; re-run the "
                   "original configuration to take a fresh snapshot)");
-    CkptAccess::loadMachine(*this, get(doc, "machine"));
-    CkptAccess::loadVms(*this, get(doc, "vms"));
+}
+
+template <class T>
+json::Value
+ckptSave(const T &x)
+{
+    json::Value v;
+    json::Saver ar(v);
+    CkptAccess::io(ar, x);
+    return v;
+}
+
+template <class T>
+void
+ckptLoad(T &x, const json::Value &v)
+{
+    json::Loader ar(v);
+    CkptAccess::io(ar, x);
+}
+
+template json::Value ckptSave(const Msg &);
+template json::Value ckptSave(const CacheArray<PrivateCacheLine> &);
+template json::Value ckptSave(const CacheArray<L2CacheLine> &);
+template json::Value ckptSave(const TagArray &);
+template void ckptLoad(Msg &, const json::Value &);
+template void ckptLoad(CacheArray<PrivateCacheLine> &, const json::Value &);
+template void ckptLoad(CacheArray<L2CacheLine> &, const json::Value &);
+template void ckptLoad(TagArray &, const json::Value &);
+
+json::Value
+System::saveCheckpoint() const
+{
+    return ckptSave(*this);
+}
+
+void
+System::restoreCheckpoint(const json::Value &doc)
+{
+    checkCkptSchema(doc);
+    ckptLoad(*this, doc);
     // Core wake cycles are derived state: the restored cores poll on
     // their first tick and write exact ones from there.
     std::fill(coreWake_.begin(), coreWake_.end(), 0);

@@ -19,10 +19,12 @@
  *
  *   {
  *     "schema":  "consim.ckpt.v5",
- *     "context": { ... },   // experiment-layer context, verbatim
- *                           // (run config echo, phase, migration RNG)
- *     "machine": { cycle, events, cores, l1s, banks, dirs, mcs,
- *                  dir_entries, net, faults, stats },
+ *     "context": { config, phase, mig_rng? },  // experiment layer,
+ *                                              // verbatim
+ *     "machine": { mesh: [x, y], cycle,
+ *                  events: { seq_by_src, executed, pending },
+ *                  cores, l1s, banks, dirs, mcs, dir_entries, net,
+ *                  faults, qos?, dyn_sched?, stats },
  *     "vms":     [ { streams, footprint }, ... ]
  *   }
  *
@@ -34,40 +36,37 @@
  * rebuild that System without out-of-band information.
  *
  * Entry points are System::saveCheckpoint / System::restoreCheckpoint
- * (core/system.hh); this header only exposes the protocol-message
- * and cache-array codecs, which tests reuse.
+ * (core/system.hh). Each component is described once, by an io()
+ * body that both directions run (core/checkpoint.cc,
+ * common/archive.hh); this header exposes the schema check and the
+ * per-component save/restore that tests use.
  */
 
 #ifndef CONSIM_CORE_CHECKPOINT_HH
 #define CONSIM_CORE_CHECKPOINT_HH
 
-#include "cache/cache_array.hh"
-#include "coherence/protocol.hh"
 #include "common/json.hh"
 
 namespace consim
 {
 
-/** Serialize a protocol message as a fixed-position JSON array. */
-json::Value msgToJson(const Msg &m);
+/** The one checkpoint schema this build writes and restores. */
+inline constexpr const char *ckptSchema = "consim.ckpt.v5";
 
-/** Inverse of msgToJson. */
-Msg msgFromJson(const json::Value &v);
+/** Refuse any document that is not ckptSchema, explaining why
+ *  older schemas cannot be restored. */
+void checkCkptSchema(const json::Value &doc);
 
-/** Serialize a cache array slot-index-exact: the stamp counter plus
- *  one `[slot, tag, lru, payload...]` record per valid slot. The
- *  TagArray form is the directory cache's (no payload). */
-json::Value cacheArrayToJson(const CacheArray<PrivateCacheLine> &a);
-json::Value cacheArrayToJson(const CacheArray<L2CacheLine> &a);
-json::Value cacheArrayToJson(const TagArray &a);
-
-/** Inverse of cacheArrayToJson into an array of the same geometry;
- *  slots without a record end invalid. */
-void cacheArrayFromJson(CacheArray<PrivateCacheLine> &a,
-                        const json::Value &v);
-void cacheArrayFromJson(CacheArray<L2CacheLine> &a,
-                        const json::Value &v);
-void cacheArrayFromJson(TagArray &a, const json::Value &v);
+/**
+ * Save one component with its checkpoint description, or restore it
+ * into a counterpart of the same geometry (cache-array slots without
+ * a record end invalid). Instantiated for protocol messages and the
+ * three cache-array kinds, which tests round-trip directly.
+ */
+template <class T>
+json::Value ckptSave(const T &x);
+template <class T>
+void ckptLoad(T &x, const json::Value &v);
 
 } // namespace consim
 

@@ -6,9 +6,11 @@
 
 #include "common/rng.hh"
 
+#include "common/archive.hh"
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
+#include "core/checkpoint.hh"
 #include "core/scheduler.hh"
 #include "exec/sweep.hh"
 
@@ -122,201 +124,142 @@ namespace
 // The `consim.run.v1` config echo (core/report.cc) is a byte-stable
 // PARTIAL view and must not grow fields; a resume instead needs every
 // structural knob, so the checkpoint context carries its own complete
-// codec. Enums travel as their integer values (no inverse string
-// parsers exist) and the fault plan as its grammar string, which
-// round-trips through FaultPlan::parse.
+// description. Enums travel as their integer values (no inverse
+// string parsers exist) and the fault, QoS and dyn-sched plans as
+// their grammar strings, which round-trip through their parse().
 
-const json::Value &
-ctxGet(const json::Value &obj, const char *key)
+template <class Ar, class M>
+void
+machineIo(Ar &ar, M &m)
 {
-    const json::Value *v = obj.find(key);
-    CONSIM_ASSERT(v, "checkpoint context: missing key '", key, "'");
-    return *v;
-}
-
-int
-ctxInt(const json::Value &obj, const char *key)
-{
-    return static_cast<int>(ctxGet(obj, key).number());
-}
-
-json::Value
-machineCtxJson(const MachineConfig &m)
-{
-    auto v = json::Value::object();
-    v.set("mesh_x", m.meshX);
-    v.set("mesh_y", m.meshY);
-    v.set("l0_bytes", m.l0Bytes);
-    v.set("l0_assoc", m.l0Assoc);
-    v.set("l0_latency", m.l0Latency);
-    v.set("l1_bytes", m.l1Bytes);
-    v.set("l1_assoc", m.l1Assoc);
-    v.set("l1_latency", m.l1Latency);
-    v.set("l2_total_bytes", m.l2TotalBytes);
-    v.set("l2_assoc", m.l2Assoc);
-    v.set("l2_latency", m.l2Latency);
-    v.set("sharing", coresPerGroup(m.sharing));
-    v.set("mem_latency", m.memLatency);
-    v.set("num_mem_ctrls", m.numMemCtrls);
-    v.set("mem_issue_interval", m.memIssueInterval);
-    v.set("mem_overlap_latency", m.memOverlapLatency);
-    v.set("dir_cache_enabled", m.dirCacheEnabled);
-    v.set("dir_cache_entries", m.dirCacheEntries);
-    v.set("dir_cache_assoc", m.dirCacheAssoc);
-    v.set("dir_latency", m.dirLatency);
-    v.set("clean_forwarding", m.cleanForwarding);
-    v.set("ideal_noc", m.idealNoc);
-    v.set("ideal_noc_latency", m.idealNocLatency);
-    v.set("flat_intra_group", m.flatIntraGroup);
-    v.set("intra_group_latency", m.intraGroupLatency);
-    v.set("flit_bytes", m.flitBytes);
-    v.set("vcs_per_vnet", m.vcsPerVnet);
-    v.set("vc_buffer_flits", m.vcBufferFlits);
-    v.set("num_vnets", m.numVnets);
-    return v;
-}
-
-MachineConfig
-machineFromCtx(const json::Value &v)
-{
-    MachineConfig m;
-    m.meshX = ctxInt(v, "mesh_x");
-    m.meshY = ctxInt(v, "mesh_y");
-    m.l0Bytes = ctxGet(v, "l0_bytes").asUint();
-    m.l0Assoc = ctxInt(v, "l0_assoc");
-    m.l0Latency = ctxInt(v, "l0_latency");
-    m.l1Bytes = ctxGet(v, "l1_bytes").asUint();
-    m.l1Assoc = ctxInt(v, "l1_assoc");
-    m.l1Latency = ctxInt(v, "l1_latency");
-    m.l2TotalBytes = ctxGet(v, "l2_total_bytes").asUint();
-    m.l2Assoc = ctxInt(v, "l2_assoc");
-    m.l2Latency = ctxInt(v, "l2_latency");
-    const int sharing = ctxInt(v, "sharing");
+    ar("mesh_x", m.meshX);
+    ar("mesh_y", m.meshY);
+    ar("l0_bytes", m.l0Bytes);
+    ar("l0_assoc", m.l0Assoc);
+    ar("l0_latency", m.l0Latency);
+    ar("l1_bytes", m.l1Bytes);
+    ar("l1_assoc", m.l1Assoc);
+    ar("l1_latency", m.l1Latency);
+    ar("l2_total_bytes", m.l2TotalBytes);
+    ar("l2_assoc", m.l2Assoc);
+    ar("l2_latency", m.l2Latency);
+    int sharing = coresPerGroup(m.sharing);
+    ar("sharing", sharing);
     CONSIM_ASSERT(sharing >= 1 && sharing <= m.meshX * m.meshY,
                   "checkpoint context: bad sharing degree ", sharing);
-    m.sharing = sharingDegree(sharing);
-    m.memLatency = ctxInt(v, "mem_latency");
-    m.numMemCtrls = ctxInt(v, "num_mem_ctrls");
-    m.memIssueInterval = ctxInt(v, "mem_issue_interval");
-    m.memOverlapLatency = ctxInt(v, "mem_overlap_latency");
-    m.dirCacheEnabled = ctxGet(v, "dir_cache_enabled").boolean();
-    m.dirCacheEntries = ctxGet(v, "dir_cache_entries").asUint();
-    m.dirCacheAssoc = ctxInt(v, "dir_cache_assoc");
-    m.dirLatency = ctxInt(v, "dir_latency");
-    m.cleanForwarding = ctxGet(v, "clean_forwarding").boolean();
-    m.idealNoc = ctxGet(v, "ideal_noc").boolean();
-    m.idealNocLatency = ctxInt(v, "ideal_noc_latency");
-    m.flatIntraGroup = ctxGet(v, "flat_intra_group").boolean();
-    m.intraGroupLatency = ctxInt(v, "intra_group_latency");
-    m.flitBytes = ctxInt(v, "flit_bytes");
-    m.vcsPerVnet = ctxInt(v, "vcs_per_vnet");
-    m.vcBufferFlits = ctxInt(v, "vc_buffer_flits");
-    m.numVnets = ctxInt(v, "num_vnets");
-    return m;
+    if constexpr (Ar::loading)
+        m.sharing = sharingDegree(sharing);
+    ar("mem_latency", m.memLatency);
+    ar("num_mem_ctrls", m.numMemCtrls);
+    ar("mem_issue_interval", m.memIssueInterval);
+    ar("mem_overlap_latency", m.memOverlapLatency);
+    ar("dir_cache_enabled", m.dirCacheEnabled);
+    ar("dir_cache_entries", m.dirCacheEntries);
+    ar("dir_cache_assoc", m.dirCacheAssoc);
+    ar("dir_latency", m.dirLatency);
+    ar("clean_forwarding", m.cleanForwarding);
+    ar("ideal_noc", m.idealNoc);
+    ar("ideal_noc_latency", m.idealNocLatency);
+    ar("flat_intra_group", m.flatIntraGroup);
+    ar("intra_group_latency", m.intraGroupLatency);
+    ar("flit_bytes", m.flitBytes);
+    ar("vcs_per_vnet", m.vcsPerVnet);
+    ar("vc_buffer_flits", m.vcBufferFlits);
+    ar("num_vnets", m.numVnets);
 }
 
-json::Value
-configCtxJson(const RunConfig &res, const RunConfig &raw)
+/** A fault, QoS or dyn-sched plan as its grammar string. */
+template <class Ar, class Plan>
+void
+planIo(Ar &ar, const char *key, Plan &plan)
 {
-    auto v = json::Value::object();
-    v.set("machine", machineCtxJson(res.machine));
-    auto wl = json::Value::array();
-    for (WorkloadKind k : res.workloads)
-        wl.push(static_cast<int>(k));
-    v.set("workloads", std::move(wl));
-    auto vt = json::Value::array();
-    for (int t : res.vmThreads)
-        vt.push(t);
-    v.set("vm_threads", std::move(vt));
-    v.set("policy", static_cast<int>(res.policy));
-    v.set("seed", res.seed);
-    v.set("warmup_cycles", res.warmupCycles);
-    v.set("measure_cycles", res.measureCycles);
-    v.set("migration_interval_cycles", res.migrationIntervalCycles);
-    v.set("timeslice_cycles", res.timesliceCycles);
-    v.set("watchdog_interval_cycles", res.watchdogIntervalCycles);
-    v.set("cycle_deadline", res.cycleDeadline);
-    v.set("ckpt_every_cycles", res.ckptEveryCycles);
-    v.set("faults", res.faults.spec());
-    v.set("qos", res.qos.spec());
-    v.set("dyn_sched", res.dynSched.spec());
-    // The as-configured (pre-env-resolution) values of the four
-    // resolvable knobs, so a resume can echo the original config
-    // verbatim in its consim.run.v1 envelope while still running
-    // under the resolved values.
-    v.set("raw_warmup_cycles", raw.warmupCycles);
-    v.set("raw_measure_cycles", raw.measureCycles);
-    v.set("raw_watchdog_interval_cycles", raw.watchdogIntervalCycles);
-    v.set("raw_ckpt_every_cycles", raw.ckptEveryCycles);
-    return v;
-}
-
-RunConfig
-configFromCtx(const json::Value &v)
-{
-    RunConfig cfg;
-    cfg.machine = machineFromCtx(ctxGet(v, "machine"));
-    for (const auto &w : ctxGet(v, "workloads").items()) {
-        const int k = static_cast<int>(w.number());
-        CONSIM_ASSERT(k >= 0 && k <= 5,
-                      "checkpoint context: bad workload kind ", k);
-        cfg.workloads.push_back(static_cast<WorkloadKind>(k));
-    }
-    for (const auto &t : ctxGet(v, "vm_threads").items())
-        cfg.vmThreads.push_back(static_cast<int>(t.number()));
-    const int pol = ctxInt(v, "policy");
-    CONSIM_ASSERT(pol >= 0 && pol <= 3,
-                  "checkpoint context: bad scheduling policy ", pol);
-    cfg.policy = static_cast<SchedPolicy>(pol);
-    cfg.seed = ctxGet(v, "seed").asUint();
-    cfg.warmupCycles = ctxGet(v, "warmup_cycles").asUint();
-    cfg.measureCycles = ctxGet(v, "measure_cycles").asUint();
-    cfg.migrationIntervalCycles =
-        ctxGet(v, "migration_interval_cycles").asUint();
-    // Optional: absent in checkpoints from before over-commit.
-    if (const json::Value *ts = v.find("timeslice_cycles"))
-        cfg.timesliceCycles = ts->asUint();
-    cfg.watchdogIntervalCycles =
-        ctxGet(v, "watchdog_interval_cycles").asUint();
-    cfg.cycleDeadline = ctxGet(v, "cycle_deadline").asUint();
-    cfg.ckptEveryCycles = ctxGet(v, "ckpt_every_cycles").asUint();
-    const std::string spec = ctxGet(v, "faults").str();
-    if (!spec.empty()) {
+    std::string spec = plan.spec();
+    ar(key, spec);
+    if constexpr (Ar::loading) {
         std::string err;
-        const bool ok = FaultPlan::parse(spec, cfg.faults, &err);
-        CONSIM_ASSERT(ok, "checkpoint context: bad fault spec '", spec,
+        CONSIM_ASSERT(spec.empty() || Plan::parse(spec, plan, &err),
+                      "checkpoint context: bad ", key, " spec '", spec,
                       "': ", err);
     }
-    {
-        const std::string qspec = ctxGet(v, "qos").str();
-        std::string err;
-        const bool ok = QosConfig::parse(qspec, cfg.qos, &err);
-        CONSIM_ASSERT(ok, "checkpoint context: bad qos spec '",
-                      qspec, "': ", err);
-    }
-    {
-        const std::string dspec = ctxGet(v, "dyn_sched").str();
-        std::string err;
-        const bool ok =
-            DynSchedConfig::parse(dspec, cfg.dynSched, &err);
-        CONSIM_ASSERT(ok, "checkpoint context: bad dyn-sched spec '",
-                      dspec, "': ", err);
-    }
-    return cfg;
 }
 
-/** The config as originally passed to runExperiment (raw knobs). */
-RunConfig
-configEchoFromCtx(const json::Value &v)
+/**
+ * The run config: @p res as resolved, plus the as-configured
+ * (pre-env-resolution) values of the four resolvable knobs from
+ * @p raw, so a resume can echo the original config verbatim in its
+ * consim.run.v1 envelope while still running under the resolved
+ * values. Loading sets @p raw to @p res with those four replaced.
+ */
+template <class Ar, class C>
+void
+configIo(Ar &ar, C &res, C &raw)
 {
-    RunConfig cfg = configFromCtx(v);
-    cfg.warmupCycles = ctxGet(v, "raw_warmup_cycles").asUint();
-    cfg.measureCycles = ctxGet(v, "raw_measure_cycles").asUint();
-    cfg.watchdogIntervalCycles =
-        ctxGet(v, "raw_watchdog_interval_cycles").asUint();
-    cfg.ckptEveryCycles =
-        ctxGet(v, "raw_ckpt_every_cycles").asUint();
-    return cfg;
+    ar("machine", [&] { machineIo(ar, res.machine); });
+    ar("workloads", res.workloads);
+    for (const WorkloadKind k : res.workloads)
+        CONSIM_ASSERT(static_cast<int>(k) >= 0 && static_cast<int>(k) <= 5,
+                      "checkpoint context: bad workload kind ",
+                      static_cast<int>(k));
+    ar("vm_threads", res.vmThreads);
+    ar("policy", res.policy);
+    CONSIM_ASSERT(static_cast<int>(res.policy) >= 0 &&
+                      static_cast<int>(res.policy) <= 3,
+                  "checkpoint context: bad scheduling policy ",
+                  static_cast<int>(res.policy));
+    ar("seed", res.seed);
+    ar("warmup_cycles", res.warmupCycles);
+    ar("measure_cycles", res.measureCycles);
+    ar("migration_interval_cycles", res.migrationIntervalCycles);
+    ar("timeslice_cycles", res.timesliceCycles);
+    ar("watchdog_interval_cycles", res.watchdogIntervalCycles);
+    ar("cycle_deadline", res.cycleDeadline);
+    ar("ckpt_every_cycles", res.ckptEveryCycles);
+    planIo(ar, "faults", res.faults);
+    planIo(ar, "qos", res.qos);
+    planIo(ar, "dyn_sched", res.dynSched);
+    if constexpr (Ar::loading)
+        raw = res;
+    ar("raw_warmup_cycles", raw.warmupCycles);
+    ar("raw_measure_cycles", raw.measureCycles);
+    ar("raw_watchdog_interval_cycles", raw.watchdogIntervalCycles);
+    ar("raw_ckpt_every_cycles", raw.ckptEveryCycles);
+}
+
+/** The experiment context a snapshot carries. */
+struct CkptContext
+{
+    RunConfig res;
+    RunConfig raw;
+    std::string phase;
+    std::vector<std::uint64_t> migRng; ///< empty when threads stay put
+};
+
+template <class Ar, class X>
+void
+contextIo(Ar &ar, X &ctx)
+{
+    ar("config", [&] { configIo(ar, ctx.res, ctx.raw); });
+    ar("phase", ctx.phase);
+    if (ar.opt("mig_rng", !ctx.migRng.empty()))
+        ar("mig_rng", ctx.migRng);
+}
+
+/**
+ * @return the experiment context of snapshot @p ckpt, refusing other
+ * schemas and snapshots saved outside runExperiment.
+ */
+CkptContext
+readContext(const json::Value &ckpt)
+{
+    checkCkptSchema(ckpt);
+    const json::Value *ctx = ckpt.find("context");
+    CONSIM_ASSERT(ctx && ctx->find("config"),
+                  "checkpoint has no experiment context (saved outside "
+                  "runExperiment?); cannot seed a resume");
+    CkptContext out;
+    json::Loader ar(*ctx, "checkpoint context");
+    contextIo(ar, out);
+    return out;
 }
 
 // --- experiment rig and phase driver ------------------------------
@@ -372,16 +315,15 @@ json::Value
 phaseContext(const RunConfig &res, const RunConfig &raw,
              const char *phase, const Rng *mig)
 {
-    auto ctx = json::Value::object();
-    ctx.set("config", configCtxJson(res, raw));
-    ctx.set("phase", phase);
+    CkptContext ctx{res, raw, phase, {}};
     if (mig) {
-        auto st = json::Value::array();
-        for (std::uint64_t w : mig->state())
-            st.push(w);
-        ctx.set("mig_rng", std::move(st));
+        const auto st = mig->state();
+        ctx.migRng.assign(st.begin(), st.end());
     }
-    return ctx;
+    json::Value v;
+    json::Saver ar(v);
+    contextIo(ar, ctx);
+    return v;
 }
 
 /**
@@ -560,39 +502,17 @@ runExperiment(const RunConfig &cfg)
 RunConfig
 configFromCheckpoint(const json::Value &ckpt)
 {
-    const json::Value *ctx = ckpt.find("context");
-    CONSIM_ASSERT(ctx && ctx->find("config"),
-                  "checkpoint has no experiment context (saved outside "
-                  "runExperiment?); cannot seed a resume");
-    return configEchoFromCtx(ctxGet(*ctx, "config"));
+    return readContext(ckpt).raw;
 }
 
 RunResult
 resumeExperiment(const json::Value &ckpt)
 {
-    const json::Value *schema = ckpt.find("schema");
-    CONSIM_ASSERT(schema && schema->str() == "consim.ckpt.v5",
-                  "resume: not a consim.ckpt.v5 document (v1 snapshots "
-                  "predate per-source event keys; v2 snapshots encode "
-                  "sharer/presence state as fixed 16-bit masks, which "
-                  "the parametric scale model replaced with "
-                  "variable-width word arrays; v3 snapshots lack the "
-                  "QoS runtime state — per-VM memory-controller token "
-                  "buckets and the dynamic repartitioner's way "
-                  "allocation; v4 snapshots lack the migration-policy "
-                  "runtime state — the dynamic scheduler's epoch "
-                  "baselines and migration count — so none can be "
-                  "restored; re-run the original configuration to "
-                  "take a fresh snapshot)");
-    const json::Value *ctxp = ckpt.find("context");
-    CONSIM_ASSERT(ctxp && ctxp->find("config"),
-                  "checkpoint has no experiment context (saved outside "
-                  "runExperiment?); cannot seed a resume");
-    const json::Value &ctx = *ctxp;
     // The embedded config is already env-resolved (resolveConfig ran
     // before the snapshot), so no environment lookups happen here.
-    const RunConfig res = configFromCtx(ctxGet(ctx, "config"));
-    const RunConfig raw = configEchoFromCtx(ctxGet(ctx, "config"));
+    const CkptContext ctx = readContext(ckpt);
+    const RunConfig &res = ctx.res;
+    const RunConfig &raw = ctx.raw;
 
     ExperimentRig rig = buildExperimentRig(res);
     System sys(res.machine, rig.vms, rig.placements);
@@ -623,14 +543,13 @@ resumeExperiment(const json::Value &ckpt)
     Rng mig_rng(res.seed ^ 0xd15ea5e);
     Rng *mig = nullptr;
     if (res.migrationIntervalCycles != 0) {
-        const json::Value &st = ctxGet(ctx, "mig_rng");
+        const std::vector<std::uint64_t> &st = ctx.migRng;
         CONSIM_ASSERT(st.size() == 4, "resume: bad mig_rng state");
-        mig_rng.setState({st.at(0).asUint(), st.at(1).asUint(),
-                          st.at(2).asUint(), st.at(3).asUint()});
+        mig_rng.setState({st[0], st[1], st[2], st[3]});
         mig = &mig_rng;
     }
 
-    const std::string phase = ctxGet(ctx, "phase").str();
+    const std::string &phase = ctx.phase;
     const Cycle now = sys.now();
     const auto audit = [&] {
         if (CONSIM_CHECK_ACTIVE(Full))

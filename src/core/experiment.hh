@@ -185,7 +185,9 @@ ExperimentRig buildExperimentRig(const RunConfig &cfg);
  * watchdog, checkpoint interval) restored to their as-configured
  * values — i.e. exactly the config originally passed to runExperiment,
  * suitable for a byte-identical `consim.run.v1` echo. Fatal-asserts
- * when @p ckpt was saved outside the experiment driver (no context).
+ * when @p ckpt is not a `consim.ckpt.v5` document (with the reason
+ * older schemas cannot be resumed) or was saved outside the
+ * experiment driver (no context).
  */
 RunConfig configFromCheckpoint(const json::Value &ckpt);
 

@@ -63,15 +63,13 @@ System::System(const MachineConfig &cfg,
     sysSrc_ = n + 1;
     seqBySrc_.assign(static_cast<std::size_t>(n) + 2, 0);
 
+    // The ideal network's constant latency is modelled in send() as
+    // scheduled NetDeliver events, so same-cycle arrivals follow the
+    // canonical (src, seq) order instead of global injection order.
     if (cfg_.idealNoc)
-        net_ = std::make_unique<IdealNetwork>(cfg_.idealNocLatency);
+        net_ = std::make_unique<IdealNetwork>();
     else
         net_ = std::make_unique<Mesh>(cfg_);
-    // The ideal network's constant latency is modelled as scheduled
-    // NetDeliver events (transport bypass) so same-cycle arrivals
-    // follow the canonical (src, seq) order instead of global
-    // injection order; inflight_ stays empty and tick() is skipped.
-    netBypass_ = cfg_.idealNoc;
     netHandoff_ = std::max<Cycle>(
         3, static_cast<Cycle>(cfg_.meshX + cfg_.meshY) / 4);
     // Pre-size the calendar ring from the machine size: a few events
@@ -428,7 +426,7 @@ System::send(Msg m)
                               std::move(ev));
         return;
     }
-    if (netBypass_) {
+    if (cfg_.idealNoc) {
         // Ideal network, modelled as a scheduled arrival (see ctor).
         SimEvent ev(SimEventKind::NetDeliver, std::move(m));
         ev.src = src;
@@ -630,8 +628,7 @@ System::tick()
         if (now_ >= coreWake_[i])
             cores_[i]->tick();
     }
-    if (!netBypass_)
-        net_->tick(now_);
+    net_->tick(now_);
     ++now_;
 }
 

@@ -446,8 +446,6 @@ class System : public Fabric
     std::int32_t netSrc_ = 0;
     std::int32_t sysSrc_ = 0;
 
-    bool netBypass_ = false; ///< ideal NoC modelled as events
-
     // --- hardening state ---
     FaultPlan faultPlan_;
     Cycle watchdogInterval_ = 0;   ///< 0 = watchdog off

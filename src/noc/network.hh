@@ -13,7 +13,7 @@
 
 #include "coherence/protocol.hh"
 #include "common/json.hh"
-#include "common/ring.hh"
+#include "common/check.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -114,12 +114,11 @@ class Network
 
     // --- transport bypass (System's event-core delivery) ---
     //
-    // When the ideal network's constant latency is modelled as a
-    // scheduled event instead of an inflight_ entry (see
-    // System::send), the System still owns this object's statistics:
-    // these hooks account an inject/eject performed on the network's
-    // behalf so every counter reads exactly as if tick() had
-    // delivered the message itself.
+    // The ideal network's constant latency is modelled as a scheduled
+    // event (see System::send), while this object keeps the
+    // statistics: these hooks account an inject/eject performed on
+    // the network's behalf, with the same math a delivering network
+    // uses.
 
     /** Account one bypassed injection. */
     void
@@ -168,40 +167,26 @@ class Network
  * Ablation network: every message is delivered after a fixed latency,
  * with unlimited bandwidth. Comparing against the Mesh isolates the
  * congestion component of the scheduling-policy results.
+ *
+ * System::send models the constant latency as a scheduled NetDeliver
+ * event (so same-cycle arrivals follow the canonical (src, seq) order)
+ * and accounts each packet here through countInject/countEject, so
+ * this object holds statistics only: no packet is ever in it.
  */
 class IdealNetwork : public Network
 {
   public:
-    explicit IdealNetwork(int latency) : latency_(latency) {}
-
     void
-    inject(Msg m) override
+    inject(Msg) override
     {
-        ++stats_.packetsInjected;
-        ++injectedTotal_;
-        inflight_.push_back({m.injectCycle + latency_, std::move(m)});
+        CONSIM_CHECK_FAIL("IdealNetwork::inject: ideal-NoC traffic is "
+                          "delivered by System::send as NetDeliver "
+                          "events");
     }
 
-    void
-    tick(Cycle now) override
-    {
-        while (!inflight_.empty() && inflight_.front().first <= now) {
-            Msg m = std::move(inflight_.front().second);
-            inflight_.pop_front();
-            recordEject(m, now, carriesData(m.type) ? 5 : 1);
-            deliver_(m);
-        }
-    }
+    void tick(Cycle) override {}
 
-    bool idle() const override { return inflight_.empty(); }
-
-  private:
-    friend struct CkptAccess;
-
-    int latency_;
-    // FIFO works because latency is constant. RingBuf keeps the
-    // warmed-up queue allocation-free (see common/ring.hh).
-    RingBuf<std::pair<Cycle, Msg>> inflight_;
+    bool idle() const override { return true; }
 };
 
 } // namespace consim

@@ -484,14 +484,14 @@ void
 expectSaveLoadSaveIdentity(ArrayT &a, ArrayT &c, Fill &&fill)
 {
     randomTrace(a, 1, 5'000, fill);
-    const std::string first = cacheArrayToJson(a).dump();
+    const std::string first = ckptSave(a).dump();
     json::Value doc;
     ASSERT_TRUE(json::parse(first, doc));
-    cacheArrayFromJson(c, doc);
-    EXPECT_EQ(cacheArrayToJson(c).dump(), first);
+    ckptLoad(c, doc);
+    EXPECT_EQ(ckptSave(c).dump(), first);
     randomTrace(a, 2, 5'000, fill);
     randomTrace(c, 2, 5'000, fill);
-    EXPECT_EQ(cacheArrayToJson(c).dump(), cacheArrayToJson(a).dump());
+    EXPECT_EQ(ckptSave(c).dump(), ckptSave(a).dump());
 }
 
 TEST(CacheArrayCodec, SaveLoadSaveIsByteIdentical)
@@ -533,14 +533,14 @@ TEST(CacheArrayCodec, SaveLoadSaveIsByteIdentical)
             }
         };
         trace(a, 1);
-        const std::string first = cacheArrayToJson(a).dump();
+        const std::string first = ckptSave(a).dump();
         json::Value doc;
         ASSERT_TRUE(json::parse(first, doc));
-        cacheArrayFromJson(c, doc);
-        EXPECT_EQ(cacheArrayToJson(c).dump(), first);
+        ckptLoad(c, doc);
+        EXPECT_EQ(ckptSave(c).dump(), first);
         trace(a, 2);
         trace(c, 2);
-        EXPECT_EQ(cacheArrayToJson(c).dump(), cacheArrayToJson(a).dump());
+        EXPECT_EQ(ckptSave(c).dump(), ckptSave(a).dump());
     }
 }
 

@@ -107,6 +107,12 @@ TEST(CheckpointResume, ByteIdenticalAcrossSchedulingPolicies)
         expectResumeByteIdentity(
             smallConfig(SharingDegree::Shared4, p), 20'000, 6'000);
     }
+    // And over the ideal NoC, whose fixed-latency arrivals ride in
+    // the snapshot's event queue as NetDeliver events.
+    RunConfig ideal =
+        smallConfig(SharingDegree::Shared4, SchedPolicy::Affinity);
+    ideal.machine.idealNoc = true;
+    expectResumeByteIdentity(ideal, 20'000, 6'000);
 }
 
 TEST(CheckpointResume, ByteIdenticalWhenSnapshotLandsInWarmup)
@@ -182,6 +188,33 @@ TEST(CheckpointSchemaDeathTest, OldSnapshotsRefusedWithExplanation)
     EXPECT_DEATH(resumeExperiment(v1), "re-run the original");
     EXPECT_DEATH(resumeExperiment(json::Value::object()),
                  "not a consim.ckpt.v5 document");
+
+    // A v4-shaped snapshot: a real trip snapshot relabelled v4, whose
+    // context predates the dyn_sched key. Reading its config for a
+    // resume must give the same explanation, not trip over the
+    // missing key first.
+    RunConfig trip =
+        smallConfig(SharingDegree::Shared4, SchedPolicy::Affinity);
+    trip.cycleDeadline = 8'000;
+    trip.ckptEveryCycles = 4'000;
+    json::Value v4;
+    try {
+        runExperiment(trip);
+        FAIL() << "deadline did not trip";
+    } catch (const SimError &e) {
+        ASSERT_TRUE(json::parse(e.ckpt(), v4));
+    }
+    v4.set("schema", "consim.ckpt.v4");
+    json::Value *config = v4.find("context")->find("config");
+    json::Value old_config = json::Value::object();
+    for (const auto &[key, value] : config->members())
+        if (key != "dyn_sched")
+            old_config.set(key, value);
+    *config = std::move(old_config);
+    EXPECT_DEATH(configFromCheckpoint(v4),
+                 "lack the migration-policy runtime state");
+    EXPECT_DEATH(resumeExperiment(v4),
+                 "lack the migration-policy runtime state");
 }
 
 // ---------------------------------------------------------------- //
@@ -400,7 +433,8 @@ TEST(CheckpointCodec, MsgRoundTrips)
     m.c2cTransfer = true;
     m.ackCount = -2;
     m.injectCycle = 987654321u;
-    const Msg back = msgFromJson(msgToJson(m));
+    Msg back;
+    ckptLoad(back, ckptSave(m));
     EXPECT_EQ(back.type, m.type);
     EXPECT_EQ(back.block, m.block);
     EXPECT_EQ(back.srcTile, m.srcTile);

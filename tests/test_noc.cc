@@ -7,10 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <vector>
 
 #include "common/config.hh"
+#include "core/experiment.hh"
+#include "core/mix.hh"
 #include "noc/mesh.hh"
 #include "noc/network.hh"
 #include "noc/routing.hh"
@@ -228,36 +229,45 @@ TEST_F(MeshTest, StatsAccumulate)
     EXPECT_GT(s.latency.mean(), 0.0);
 }
 
+/**
+ * A short ideal-NoC run on a @p mesh x @p mesh chip. The ideal
+ * network's traffic is delivered by System::send as NetDeliver
+ * events, so only a System run exercises it.
+ */
+RunResult
+idealRun(int mesh, SharingDegree sharing, int latency)
+{
+    RunConfig cfg =
+        mixConfig(Mix::byName("Mix 1"), SchedPolicy::Affinity, sharing);
+    cfg.machine.meshX = mesh;
+    cfg.machine.meshY = mesh;
+    cfg.machine.idealNoc = true;
+    cfg.machine.idealNocLatency = latency;
+    cfg.warmupCycles = 5'000;
+    cfg.measureCycles = 10'000;
+    return runExperiment(cfg);
+}
+
 TEST(IdealNetwork, FixedLatencyDelivery)
 {
-    IdealNetwork net(10);
-    std::vector<std::pair<Cycle, Msg>> got;
-    Cycle now = 0;
-    net.setDeliver([&](const Msg &m) { got.emplace_back(now, m); });
-    Msg m = makeMsg(MsgType::GetS, 0, 15);
-    m.injectCycle = 0;
-    net.inject(m);
-    for (; now < 50; ++now)
-        net.tick(now);
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0].first, 10u);
-    EXPECT_TRUE(net.idle());
+    // Every packet arrives exactly idealNocLatency cycles after its
+    // injection, so the mean over all of them is the constant.
+    const RunResult r = idealRun(4, SharingDegree::Shared4, 10);
+    EXPECT_GT(r.netPackets, 1000u);
+    EXPECT_EQ(r.netAvgLatency, 10.0);
 }
 
 TEST(IdealNetwork, DistanceIndependent)
 {
-    IdealNetwork net(7);
-    std::map<CoreId, Cycle> arrivals;
-    Cycle now = 0;
-    net.setDeliver([&](const Msg &m) { arrivals[m.dstTile] = now; });
-    for (CoreId d : {1, 15}) {
-        Msg m = makeMsg(MsgType::Data, 0, d);
-        m.injectCycle = 0;
-        net.inject(m);
+    // With private L2s every miss travels to a directory home on some
+    // tile, adjacent or across the chip; on a 4x4 and an 8x8 mesh the
+    // latency is still the constant for every packet.
+    for (const int mesh : {4, 8}) {
+        SCOPED_TRACE(mesh);
+        const RunResult r = idealRun(mesh, SharingDegree::Private, 7);
+        EXPECT_GT(r.netPackets, 1000u);
+        EXPECT_EQ(r.netAvgLatency, 7.0);
     }
-    for (; now < 50; ++now)
-        net.tick(now);
-    EXPECT_EQ(arrivals[1], arrivals[15]);
 }
 
 } // namespace
